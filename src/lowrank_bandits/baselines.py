@@ -17,7 +17,6 @@ from .env import (
     BanditInstance,
     RegretLedger,
     instant_regret,
-    instant_regret_many,
 )
 from .errors import ConfigError
 from .linalg import argmax_unit_ball
@@ -29,9 +28,6 @@ from .mtrl import (
     _run_three_stage,
     moment_estimate_theta,
 )
-
-BASELINE_KINDS = ("independent_etc", "e2tc")
-
 
 def e2tc_squared_estimator(
     actions: np.ndarray, rewards: np.ndarray, dim: int, rep_dim: int
@@ -145,7 +141,5 @@ def run_independent_etc(
         for task in range(num_tasks):
             action = argmax_unit_ball(theta_hats[:, task])
             per_task[task] = instant_regret(instance, task, action)
-        ledger.record_interleaved(
-            np.broadcast_to(per_task[:, None], (num_tasks, remaining))
-        )
+        ledger.record_interleaved_block(per_task, remaining)
     return ledger

@@ -142,7 +142,7 @@ def _experiment_config(algorithm: str, values: dict) -> ExperimentConfig:
         delta=values["delta"],
         mode=values["mode"],
         log_arg=values["log_arg"],
-        noiseless_oracle=bool(values["noiseless_oracle"]),
+        noiseless_oracle=values["noiseless_oracle"],
         num_seeds=values["seeds"],
         master_seed=values["master_seed"],
         trace_stride=values["trace_stride"],
@@ -157,7 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         values = _resolve_options(args)
         if args.command == "compare":
-            algos = (values["algorithms"] or "mtrl,e2tc,independent").split(",")
+            algos = values["algorithms"] or "mtrl,e2tc,independent"
+            if not isinstance(algos, str):
+                raise ConfigError(f"algorithms: must be a string, got {algos!r}")
+            algos = algos.split(",")
             algos = [a.strip() for a in algos if a.strip()]
             configs = [_experiment_config(a, values) for a in algos]
             table, written = compare(configs, out_dir=values["out_dir"])

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleActionError
+from .errors import ConfigError, InfeasibleActionError, require_finite, require_int
 from .linalg import kth_singular_value, sample_unit_sphere
 
 ACTION_NORM_ATOL = 1e-9
 UNIT_THETA_ATOL = 1e-10
 RANK_SIGMA_MIN = 1e-8
 REGRET_SLACK = 1e-9  # tolerated roundoff outside [0, 2] before raising
+INTERLEAVED_CHUNK = 1 << 16  # entries per chunk of a constant interleaved record
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class InstanceSpec:
     seed: int | None = 0
 
     def validate(self) -> None:
+        for name in ("dim", "rep_dim", "num_tasks", "horizon"):
+            require_int(name, getattr(self, name))
+        require_finite("noise_std", self.noise_std)
+        if self.seed is not None:
+            require_int("seed", self.seed)
         if self.dim < 1:
             raise ConfigError(f"dim: must be >= 1, got {self.dim}")
         if not 1 <= self.rep_dim <= self.dim:
@@ -226,6 +232,10 @@ class RegretLedger:
     * ``record_interleaved`` — a ``(num_tasks, steps)`` matrix accounted in
       step-major order, i.e. at each step all tasks pull once, matching the
       concurrent multi-task protocol.
+    * ``record_interleaved_block`` — every task repeats one regret for
+      ``steps`` concurrent steps (commit phases).  Bit-identical to
+      ``record_interleaved`` of the broadcast ``(num_tasks, steps)`` matrix,
+      in memory independent of ``steps``.
     """
 
     def __init__(self, num_tasks: int, trace_stride: int = 10):
@@ -299,6 +309,49 @@ class RegretLedger:
             )
         self.per_task += regrets.sum(axis=1)
         self._advance(regrets.T.ravel())  # step-major: all tasks pull at each step
+
+    def record_interleaved_block(self, values: np.ndarray, steps: int) -> None:
+        """Task ``m`` pays ``values[m]`` at each of ``steps`` concurrent steps.
+
+        The step-major sequence is cumulated in tiled chunks of about
+        ``INTERLEAVED_CHUNK`` entries.  Each chunk's cumsum starts from the
+        previous chunk's last partial sum, so every partial sum is the one a
+        single ``np.cumsum`` over the whole sequence gives.
+        """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        values = self._validated(np.asarray(values, dtype=float))
+        num_tasks = self.num_tasks
+        if values.shape != (num_tasks,):
+            raise ValueError(f"expected shape ({num_tasks},), got {values.shape}")
+        # A stride-0 view: no allocation, and the same sum as the materialised matrix.
+        self.per_task += np.broadcast_to(values[:, None], (num_tasks, steps)).sum(axis=1)
+        count = num_tasks * steps
+        if count == 0:
+            return
+        rows = max(1, INTERLEAVED_CHUNK // num_tasks)
+        tiled = np.tile(values, rows)
+        buf = np.empty(tiled.size + 1)  # [carry, chunk...], cumulated in place
+        if self.trace_stride:
+            ts = self._checkpoints(count)
+            idx = ts - self.num_pulls - 1  # offsets into this call's sequence
+            picked = np.empty(ts.size)
+        carry, done = 0.0, 0
+        for offset in range(0, count, tiled.size):
+            size = min(tiled.size, count - offset)
+            buf[0] = carry
+            buf[1 : size + 1] = tiled[:size]
+            cums = np.cumsum(buf[: size + 1], out=buf[: size + 1])[1:]
+            if self.trace_stride:
+                end = np.searchsorted(idx, offset + size)
+                picked[done:end] = cums[idx[done:end] - offset]
+                done = end
+            carry = cums[-1]
+        if self.trace_stride:
+            self._trace_t.append(ts)
+            self._trace_cum.append(self.total + picked)
+        self.total += float(carry)
+        self.num_pulls += count
 
     def trace(self) -> tuple[np.ndarray, np.ndarray]:
         """Thinned cumulative-regret trace; empty when the trace is disabled."""

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the config type checks."""
+
+import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -15,3 +18,19 @@ class SingularDesignError(ValueError):
 
 class HorizonTooShortError(ValueError):
     """Exploration budgets do not fit inside the per-task horizon."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer (``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a finite real (``bool`` is not)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{name}: must be a finite real number, got {value!r}")

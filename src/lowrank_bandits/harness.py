@@ -40,7 +40,7 @@ import numpy as np
 
 from .baselines import run_e2tc, run_independent_etc
 from .env import InstanceSpec, generate_instance
-from .errors import ConfigError
+from .errors import ConfigError, require_finite, require_int
 from .lll import LllConfig, run_lll
 from .mtrl import MtrlConfig, run_mtrl
 
@@ -113,8 +113,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
-        spec = self.instance_spec()
-        spec.validate()
+        self.instance_spec().validate()
+        for name in ("num_seeds", "master_seed", "trace_stride"):
+            require_int(name, getattr(self, name))
+        require_finite("delta", self.delta)
+        if self.epsilon is not None:
+            require_finite("epsilon", self.epsilon)
+        if not isinstance(self.noiseless_oracle, bool):
+            raise ConfigError(
+                f"noiseless_oracle: must be a boolean, got {self.noiseless_oracle!r}"
+            )
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir: must be a string, got {self.out_dir!r}")
         if self.num_seeds < 1:
             raise ConfigError(f"num_seeds: must be >= 1, got {self.num_seeds}")
         if self.master_seed < 0:
@@ -239,9 +249,16 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
 def _worker_count(num_seeds: int) -> int:
     raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
     if raw:
-        workers = int(raw)
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{WORKERS_ENV_VAR}: must be an integer, got {raw!r}"
+            ) from None
         if workers < 1:
             raise ConfigError(f"{WORKERS_ENV_VAR}: must be >= 1, got {workers}")
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         workers = os.cpu_count() or 1
     return min(workers, num_seeds)
@@ -344,6 +361,8 @@ def compare(
     """
     if not configs:
         raise ConfigError("configs: need at least one config")
+    for cfg in configs:
+        cfg.validate()
     anchor = configs[0]
     for cfg in configs[1:]:
         for fieldname in (

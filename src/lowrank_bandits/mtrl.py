@@ -218,9 +218,7 @@ def stage3_commit(
     for task in range(num_tasks):
         action = argmax_unit_ball(theta_hats[:, task])
         per_task[task] = instant_regret(instance, task, action)
-    ledger.record_interleaved(
-        np.broadcast_to(per_task[:, None], (num_tasks, remaining_steps))
-    )
+    ledger.record_interleaved_block(per_task, remaining_steps)
 
 
 @dataclass(eq=False)

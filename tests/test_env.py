@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lowrank_bandits.env import (
+    INTERLEAVED_CHUNK,
     BanditInstance,
     InstanceSpec,
     RegretLedger,
@@ -38,6 +41,12 @@ class TestInstanceSpec:
             (dict(rep_dim=4, num_tasks=3), "num_tasks"),
             (dict(horizon=0), "horizon"),
             (dict(noise_std=-1.0), "noise_std"),
+            (dict(horizon=1e4), "horizon"),
+            (dict(dim="10"), "dim"),
+            (dict(num_tasks=True, rep_dim=1), "num_tasks"),
+            (dict(noise_std=float("inf")), "noise_std"),
+            (dict(noise_std="1.0"), "noise_std"),
+            (dict(seed=1.5), "seed"),
         ],
     )
     def test_invalid_specs_name_the_field(self, kwargs, field):
@@ -240,3 +249,87 @@ class TestRegretLedger:
         ts, cums = ledger.trace()
         assert ts[-1] == 10
         assert cums[-1] == pytest.approx(ledger.total)
+
+
+class TestRecordInterleavedBlock:
+    """The constant-block record against the broadcast matrix it replaces."""
+
+    @staticmethod
+    def record_both(num_tasks, steps, stride, prior):
+        rng = np.random.default_rng(num_tasks * 1009 + steps)
+        values = rng.uniform(0, 2, size=num_tasks)
+        ledgers = (RegretLedger(num_tasks, stride), RegretLedger(num_tasks, stride))
+        history = rng.uniform(0, 2, size=(num_tasks, 3))
+        for ledger in ledgers:
+            if prior:
+                ledger.record_interleaved(history)
+                ledger.record_block(num_tasks - 1, 0.3, 11)
+        ledgers[0].record_interleaved(np.broadcast_to(values[:, None], (num_tasks, steps)))
+        ledgers[1].record_interleaved_block(values, steps)
+        for ledger in ledgers:
+            ledger.record_block(0, 0.7, 5)
+        return ledgers
+
+    @pytest.mark.parametrize("prior", [False, True])
+    @pytest.mark.parametrize("stride", [0, 1, 7, "beyond"])
+    @pytest.mark.parametrize(
+        "num_tasks,steps",
+        [
+            (1, 0),
+            (4, 0),
+            (3, 1),
+            (5, 1000),
+            (200, 99),
+            (1, INTERLEAVED_CHUNK - 1),
+            (1, INTERLEAVED_CHUNK),
+            (1, INTERLEAVED_CHUNK + 1),
+            (7, INTERLEAVED_CHUNK // 7 * 3 + 2),
+            (256, INTERLEAVED_CHUNK // 256),
+            (256, INTERLEAVED_CHUNK // 256 + 1),
+            (INTERLEAVED_CHUNK + 3, 2),
+        ],
+    )
+    def test_bit_identical_to_broadcast(self, num_tasks, steps, stride, prior):
+        if stride == "beyond":
+            stride = num_tasks * steps + 50
+        old, new = self.record_both(num_tasks, steps, stride, prior)
+        assert new.total == old.total
+        assert new.num_pulls == old.num_pulls
+        assert np.array_equal(new.per_task, old.per_task)
+        old_t, old_c = old.trace()
+        new_t, new_c = new.trace()
+        assert np.array_equal(new_t, old_t)
+        assert np.array_equal(new_c, old_c)
+
+    def test_out_of_range_regret_rejected(self):
+        ledger = RegretLedger(2, 0)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            ledger.record_interleaved_block(np.array([0.5, 2.5]), 3)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            ledger.record_interleaved_block(np.array([-0.2, 0.5]), 3)
+        assert ledger.num_pulls == 0
+
+    def test_wrong_shape_rejected(self):
+        ledger = RegretLedger(3, 0)
+        with pytest.raises(ValueError, match="expected shape"):
+            ledger.record_interleaved_block(np.array([0.5, 0.5]), 3)
+        with pytest.raises(ValueError, match="expected shape"):
+            ledger.record_interleaved_block(np.full((3, 1), 0.5), 3)
+
+    def test_negative_steps_rejected(self):
+        ledger = RegretLedger(2, 0)
+        with pytest.raises(ValueError, match="steps"):
+            ledger.record_interleaved_block(np.array([0.5, 0.5]), -1)
+
+    def test_memory_independent_of_steps(self):
+        num_tasks, steps = 200, 100_000
+        values = np.random.default_rng(3).uniform(0, 2, size=num_tasks)
+        ledger = RegretLedger(num_tasks, trace_stride=1000)
+        tracemalloc.start()
+        try:
+            ledger.record_interleaved_block(values, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ledger.num_pulls == num_tasks * steps
+        assert peak < 8 * 2**20  # one materialised (200, 1e5) matrix alone is 160 MB

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from lowrank_bandits import harness
 from lowrank_bandits.cli import main
 from lowrank_bandits.errors import ConfigError
 from lowrank_bandits.harness import (
@@ -91,6 +92,20 @@ class TestRunExperiment:
         run_experiment(small_config(algorithm="mtrl", out_dir=str(out)))
         leftovers = [p for p in out.iterdir() if p.name.startswith(".")]
         assert leftovers == []
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert harness._worker_count(num_seeds=20) == 3
+        assert harness._worker_count(num_seeds=2) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness._worker_count(num_seeds=20) == 20
+        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
+        assert harness._worker_count(num_seeds=20) == 5
+        monkeypatch.setenv(WORKERS_ENV_VAR, "five")
+        with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
+            harness._worker_count(num_seeds=20)
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="algorithm"):
@@ -259,3 +274,27 @@ class TestCli:
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps({"bogus": 1}))
         assert self.run_cli("mtrl", "--config", str(config_path)) == 2
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("mtrl", '{"T": 1e4}', "horizon: must be an integer"),
+            ("mtrl", '{"d": "10"}', "dim: must be an integer"),
+            ("mtrl", '{"seeds": true}', "num_seeds: must be an integer"),
+            ("mtrl", '{"noise_std": Infinity}', "noise_std: must be a finite"),
+            ("mtrl", '{"delta": NaN}', "delta: must be a finite"),
+            ("mtrl", '{"noiseless_oracle": "false"}', "noiseless_oracle: must be a boolean"),
+            ("mtrl", '{"out_dir": 5}', "out_dir: must be a string"),
+            ("compare", '{"noise_std": NaN}', "noise_std: must be a finite"),
+            ("compare", '{"algorithms": 5}', "algorithms: must be a string"),
+        ],
+    )
+    def test_config_file_types_checked(self, tmp_path, capsys, command, text, message):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(text)
+        assert self.run_cli(command, "--config", str(config_path)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(message)
