@@ -7,7 +7,6 @@ from .env import (
     generate_instance,
     instant_regret,
     instant_regret_many,
-    pull,
     pull_block_mean,
     pull_many,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "instant_regret",
     "instant_regret_many",
     "needs_reestimation",
-    "pull",
     "pull_block_mean",
     "pull_many",
     "read_curves_csv",

@@ -13,13 +13,10 @@ import math
 
 import numpy as np
 
-from .env import (
-    BanditInstance,
-    RegretLedger,
-    instant_regret,
-)
+from .env import BanditInstance, RegretLedger
+# Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding.
+from .env import instant_regret  # noqa: F401
 from .errors import ConfigError
-from .linalg import argmax_unit_ball
 from .mtrl import (
     MtrlConfig,
     MtrlDiagnostics,
@@ -27,7 +24,9 @@ from .mtrl import (
     _oracle_theta_matrix,
     _run_three_stage,
     moment_estimate_theta,
+    stage3_commit,
 )
+
 
 def e2tc_squared_estimator(
     actions: np.ndarray, rewards: np.ndarray, dim: int, rep_dim: int
@@ -135,11 +134,5 @@ def run_independent_etc(
                 ]
             )
 
-    remaining = horizon - explore
-    if remaining > 0:
-        per_task = np.empty(num_tasks)
-        for task in range(num_tasks):
-            action = argmax_unit_ball(theta_hats[:, task])
-            per_task[task] = instant_regret(instance, task, action)
-        ledger.record_interleaved_block(per_task, remaining)
+    stage3_commit(instance, theta_hats, horizon - explore, ledger)
     return ledger

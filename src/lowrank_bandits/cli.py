@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError
 from .harness import ALGORITHMS, ExperimentConfig, compare, run_experiment
@@ -31,24 +32,26 @@ _OPTION_SPECS = [
     ("--out-dir", "out_dir", str, "output directory for result files"),
 ]
 
-_DEFAULTS = {
-    "d": 10,
-    "k": 2,
-    "M": 25,
-    "T": 10_000,
-    "noise_std": 1.0,
-    "seeds": 20,
-    "master_seed": 0,
-    "epsilon": None,
-    "delta": 0.05,
-    "mode": "regret",
-    "log_arg": "union",
-    "trace_stride": 10,
-    "out_dir": None,
-    "format": "csv",
-    "noiseless_oracle": False,
-    "algorithms": None,
+# Config-file keys (and flag dests) that differ from their ExperimentConfig field.
+_KEY_FIELDS = {
+    "d": "dim",
+    "k": "rep_dim",
+    "M": "num_tasks",
+    "T": "horizon",
+    "seeds": "num_seeds",
+    "format": "output_format",
 }
+_FIELD_KEYS = {field: key for key, field in _KEY_FIELDS.items()}
+_CONFIG_KEYS = [
+    _FIELD_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig) if f.name != "algorithm"
+] + ["algorithms"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a ``ConfigError``; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -91,7 +94,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lowrank-bandits",
         description="Benchmark multi-task and lifelong linear bandits with a shared low-rank representation.",
     )
@@ -113,57 +116,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
-    values = dict(_DEFAULTS)
+    """Options set by flags or the config file, keyed by ``ExperimentConfig`` field.
+
+    Explicit flags override file values; options set by neither are left out
+    and keep the ``ExperimentConfig`` defaults.
+    """
+    values = {}
     if args.config_file:
         with open(args.config_file) as handle:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ConfigError("config: file must hold a JSON object")
-        unknown = set(file_values) - set(_DEFAULTS)
+        unknown = set(file_values) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         values.update(file_values)
-    for key in _DEFAULTS:
+    for key in _CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    return values
-
-
-def _experiment_config(algorithm: str, values: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        algorithm=algorithm,
-        dim=values["d"],
-        rep_dim=values["k"],
-        num_tasks=values["M"],
-        horizon=values["T"],
-        noise_std=values["noise_std"],
-        epsilon=values["epsilon"],
-        delta=values["delta"],
-        mode=values["mode"],
-        log_arg=values["log_arg"],
-        noiseless_oracle=values["noiseless_oracle"],
-        num_seeds=values["seeds"],
-        master_seed=values["master_seed"],
-        trace_stride=values["trace_stride"],
-        out_dir=values["out_dir"],
-        output_format=values["format"],
-    )
+    return {_KEY_FIELDS.get(key, key): value for key, value in values.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        values = _resolve_options(args)
+        args = build_parser().parse_args(argv)
+        options = _resolve_options(args)
+        algos = options.pop("algorithms", None)
         if args.command == "compare":
-            algos = values["algorithms"] or "mtrl,e2tc,independent"
+            algos = algos or "mtrl,e2tc,independent"
             if not isinstance(algos, str):
                 raise ConfigError(f"algorithms: must be a string, got {algos!r}")
             algos = algos.split(",")
             algos = [a.strip() for a in algos if a.strip()]
-            configs = [_experiment_config(a, values) for a in algos]
-            table, written = compare(configs, out_dir=values["out_dir"])
+            configs = [ExperimentConfig(algorithm=a, **options) for a in algos]
+            table, written = compare(configs, out_dir=options.get("out_dir"))
             for summary in table["summaries"]:
                 final = summary["final_regret"]
                 print(
@@ -176,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"pooled_se={pair['pooled_se']:.2f}"
                 )
         else:
-            config = _experiment_config(args.command, values)
+            config = ExperimentConfig(algorithm=args.command, **options)
             records, written = run_experiment(config)
             summary_final = sum(r.final_regret for r in records) / len(records)
             print(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleActionError, require_finite, require_int
-from .linalg import kth_singular_value, sample_unit_sphere
+from .linalg import is_orthonormal, kth_singular_value, sample_unit_sphere
 
 ACTION_NORM_ATOL = 1e-9
 UNIT_THETA_ATOL = 1e-10
@@ -47,6 +47,8 @@ class InstanceSpec:
         require_finite("noise_std", self.noise_std)
         if self.seed is not None:
             require_int("seed", self.seed)
+            if self.seed < 0:
+                raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.dim < 1:
             raise ConfigError(f"dim: must be >= 1, got {self.dim}")
         if not 1 <= self.rep_dim <= self.dim:
@@ -86,8 +88,7 @@ class BanditInstance:
         return self.thetas.shape[1]
 
     def check_invariants(self) -> None:
-        gram = self.basis.T @ self.basis
-        if np.max(np.abs(gram - np.eye(self.rep_dim))) > 1e-8:
+        if not is_orthonormal(self.basis):
             raise AssertionError("basis columns are not orthonormal")
         norms = np.linalg.norm(self.thetas, axis=0)
         if np.max(np.abs(norms - 1.0)) > UNIT_THETA_ATOL:
@@ -146,16 +147,6 @@ def _check_actions(actions: np.ndarray, dim: int) -> np.ndarray:
     if worst > 1.0 + ACTION_NORM_ATOL:
         raise InfeasibleActionError(f"action norm {worst} exceeds the unit ball")
     return actions
-
-
-def pull(
-    instance: BanditInstance, task: int, action: np.ndarray, rng: np.random.Generator
-) -> float:
-    """One noisy reward: ``<action, theta_task> + noise_std * g``."""
-    _check_task(instance, task)
-    action = _check_actions(np.asarray(action, dtype=float).ravel(), instance.dim)
-    mean = float(action @ instance.thetas[:, task])
-    return mean + instance.noise_std * float(rng.standard_normal())
 
 
 def pull_many(
@@ -228,7 +219,6 @@ class RegretLedger:
 
     * ``record_block`` — one task repeats one action ``count`` times
       (sequential protocols, commit phases).
-    * ``record_array`` — one task's per-step regrets.
     * ``record_interleaved`` — a ``(num_tasks, steps)`` matrix accounted in
       step-major order, i.e. at each step all tasks pull once, matching the
       concurrent multi-task protocol.
@@ -283,24 +273,6 @@ class RegretLedger:
         self.total += value * count
         self.num_pulls += count
 
-    def _advance(self, flat: np.ndarray) -> None:
-        if flat.size == 0:
-            return
-        cums = np.cumsum(flat)
-        if self.trace_stride:
-            ts = self._checkpoints(flat.size)
-            self._trace_t.append(ts)
-            self._trace_cum.append(self.total + cums[ts - self.num_pulls - 1])
-        self.total += float(cums[-1])
-        self.num_pulls += flat.size
-
-    def record_array(self, task: int, values: np.ndarray) -> None:
-        if not 0 <= task < self.num_tasks:
-            raise ValueError(f"task index {task} out of range")
-        values = self._validated(np.asarray(values, dtype=float).ravel())
-        self.per_task[task] += values.sum()
-        self._advance(values)
-
     def record_interleaved(self, regrets: np.ndarray) -> None:
         regrets = self._validated(np.asarray(regrets, dtype=float))
         if regrets.ndim != 2 or regrets.shape[0] != self.num_tasks:
@@ -308,7 +280,15 @@ class RegretLedger:
                 f"expected shape ({self.num_tasks}, steps), got {regrets.shape}"
             )
         self.per_task += regrets.sum(axis=1)
-        self._advance(regrets.T.ravel())  # step-major: all tasks pull at each step
+        if regrets.size == 0:
+            return
+        cums = np.cumsum(regrets.T.ravel())  # step-major: all tasks pull at each step
+        if self.trace_stride:
+            ts = self._checkpoints(regrets.size)
+            self._trace_t.append(ts)
+            self._trace_cum.append(self.total + cums[ts - self.num_pulls - 1])
+        self.total += float(cums[-1])
+        self.num_pulls += regrets.size
 
     def record_interleaved_block(self, values: np.ndarray, steps: int) -> None:
         """Task ``m`` pays ``values[m]`` at each of ``steps`` concurrent steps.

@@ -33,7 +33,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,10 +182,8 @@ class RunRecord:
     entered_stage2: np.ndarray | None = None
     width_after: np.ndarray | None = None
     samples_used: np.ndarray | None = None
-    extension_tasks: list[int] = field(default_factory=list)
     width_final: int | None = None
     sample_total: int | None = None
-    epsilon: float | None = None
     wall_seconds: float = 0.0
 
 
@@ -195,19 +193,7 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
     rng = np.random.default_rng(policy_ss)
     started = time.perf_counter()
 
-    record = RunRecord(
-        algorithm=config.algorithm,
-        dim=config.dim,
-        rep_dim=config.rep_dim,
-        num_tasks=config.num_tasks,
-        horizon=config.horizon,
-        noise_std=config.noise_std,
-        seed_index=index,
-        final_regret=0.0,
-        trace_t=np.zeros(0, dtype=int),
-        trace_regret=np.zeros(0),
-    )
-
+    lll_fields = {}
     if config.algorithm == "mtrl":
         mtrl_config = MtrlConfig(noiseless_oracle=config.noiseless_oracle)
         ledger, _ = run_mtrl(instance, mtrl_config, rng, config.trace_stride)
@@ -224,14 +210,14 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
         state, ledger, sample_total = run_lll(
             instance, config.lll_config(), rng, config.trace_stride
         )
-        record.per_task_regret = state.per_task_regret
-        record.entered_stage2 = state.entered_stage2
-        record.width_after = state.width_after
-        record.samples_used = state.samples_used
-        record.extension_tasks = list(state.extension_tasks)
-        record.width_final = state.width
-        record.sample_total = sample_total
-        record.epsilon = state.epsilon
+        lll_fields = dict(
+            per_task_regret=state.per_task_regret,
+            entered_stage2=state.entered_stage2,
+            width_after=state.width_after,
+            samples_used=state.samples_used,
+            width_final=state.width,
+            sample_total=sample_total,
+        )
     else:  # pragma: no cover - validate() rules this out
         raise ConfigError(f"algorithm: unknown {config.algorithm!r}")
 
@@ -239,11 +225,20 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
     if ts.size == 0:  # trace disabled: keep the final point so curves are never empty
         ts = np.array([ledger.num_pulls], dtype=int)
         cums = np.array([ledger.total])
-    record.trace_t = ts
-    record.trace_regret = cums
-    record.final_regret = float(ledger.total)
-    record.wall_seconds = time.perf_counter() - started
-    return record
+    return RunRecord(
+        algorithm=config.algorithm,
+        dim=config.dim,
+        rep_dim=config.rep_dim,
+        num_tasks=config.num_tasks,
+        horizon=config.horizon,
+        noise_std=config.noise_std,
+        seed_index=index,
+        final_regret=float(ledger.total),
+        trace_t=ts,
+        trace_regret=cums,
+        wall_seconds=time.perf_counter() - started,
+        **lll_fields,
+    )
 
 
 def _worker_count(num_seeds: int) -> int:
@@ -530,7 +525,6 @@ def _summary_json_text(config: ExperimentConfig, records: list[RunRecord]) -> st
 
 def read_curves_csv(path: str | Path) -> list[RunRecord]:
     """Rebuild partial run records (config echo + trace) from a curves CSV."""
-    groups: dict[tuple, RunRecord] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != CURVES_HEADER:

@@ -184,23 +184,15 @@ def reestimate_theta_coordinatewise(
     rng: np.random.Generator,
     ledger: RegretLedger,
 ) -> np.ndarray:
-    """Estimate every coordinate by playing each standard basis vector in a block.
+    """Estimate every coordinate: explore the standard basis, one block per coordinate.
 
     Records ``dim * n2_per_coordinate`` regret entries.
     """
     if n2_per_coordinate < 1:
         raise ValueError(f"n2_per_coordinate must be >= 1, got {n2_per_coordinate}")
-    dim = instance.dim
-    theta_hat = np.empty(dim)
-    coord = np.zeros(dim)
-    for j in range(dim):
-        coord[:] = 0.0
-        coord[j] = 1.0
-        theta_hat[j] = pull_block_mean(instance, task, coord, n2_per_coordinate, rng)
-        ledger.record_block(
-            task, instant_regret(instance, task, coord), n2_per_coordinate
-        )
-    return theta_hat
+    return task_specific_exploration(
+        instance, task, np.eye(instance.dim), n2_per_coordinate, rng, ledger
+    )[1]
 
 
 def extend_basis(

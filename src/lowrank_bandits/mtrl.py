@@ -158,22 +158,6 @@ def _oracle_theta_matrix(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray
     return theta_hat
 
 
-def stage1_subspace_exploration(
-    instance: BanditInstance,
-    t1: int,
-    rng: np.random.Generator,
-    ledger: RegretLedger,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1: explore, estimate every task coefficient, extract the subspace.
-
-    Returns ``(theta_hat, basis_hat)`` and records ``num_tasks * t1`` pulls.
-    """
-    if t1 < 1:
-        raise ValueError(f"t1 must be >= 1, got {t1}")
-    actions, rewards = collect_stage1_samples(instance, t1, rng, ledger)
-    return _rectangular_subspace(actions, rewards, instance.rep_dim)
-
-
 def stage2_per_task(
     instance: BanditInstance,
     basis_hat: np.ndarray,

@@ -11,7 +11,6 @@ from lowrank_bandits.env import (
     generate_instance,
     instant_regret,
     instant_regret_many,
-    pull,
     pull_block_mean,
     pull_many,
 )
@@ -47,6 +46,7 @@ class TestInstanceSpec:
             (dict(noise_std=float("inf")), "noise_std"),
             (dict(noise_std="1.0"), "noise_std"),
             (dict(seed=1.5), "seed"),
+            (dict(seed=-1), "seed"),
         ],
     )
     def test_invalid_specs_name_the_field(self, kwargs, field):
@@ -97,7 +97,7 @@ class TestPull:
     def test_noiseless_aligned_action(self):
         inst = small_instance(noise_std=0.0)
         theta = inst.thetas[:, 0]
-        assert pull(inst, 0, theta, np.random.default_rng(0)) == pytest.approx(1.0, abs=1e-12)
+        assert pull_many(inst, 0, theta, np.random.default_rng(0))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless_orthogonal_action(self):
         inst = small_instance(noise_std=0.0)
@@ -106,17 +106,17 @@ class TestPull:
         probe[0] = 1.0
         orth = probe - theta * (theta @ probe)
         orth /= np.linalg.norm(orth)
-        assert pull(inst, 1, orth, np.random.default_rng(0)) == pytest.approx(0.0, abs=1e-12)
+        assert pull_many(inst, 1, orth, np.random.default_rng(0))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_infeasible_action_rejected(self):
         inst = small_instance()
         with pytest.raises(InfeasibleActionError):
-            pull(inst, 0, np.full(inst.dim, 1.0), np.random.default_rng(0))
+            pull_many(inst, 0, np.full(inst.dim, 1.0), np.random.default_rng(0))
 
     def test_bad_task_rejected(self):
         inst = small_instance()
         with pytest.raises(ValueError):
-            pull(inst, inst.num_tasks, np.zeros(inst.dim), np.random.default_rng(0))
+            pull_many(inst, inst.num_tasks, np.zeros(inst.dim), np.random.default_rng(0))
         with pytest.raises(ValueError):
             instant_regret(inst, -1, np.zeros(inst.dim))
 
@@ -204,8 +204,9 @@ class TestRegretLedger:
         for kind, task, payload in events:
             if kind == "block":
                 ledger.record_block(task, payload[0], payload[1])
-            elif kind == "array":
-                ledger.record_array(task, np.array(payload))
+            elif kind == "array":  # one task's per-step regrets
+                for value in payload:
+                    ledger.record_block(task, value, 1)
             else:
                 ledger.record_interleaved(payload)
         per_task, total, ts, cums = self.brute_force(events, 3, 5)
@@ -229,7 +230,9 @@ class TestRegretLedger:
         with pytest.raises(ValueError):
             ledger.record_block(0, 2.5, 3)
         with pytest.raises(ValueError):
-            ledger.record_array(0, np.array([-0.2]))
+            ledger.record_block(0, -0.2, 1)
+        with pytest.raises(ValueError):
+            ledger.record_interleaved(np.array([[0.5, 2.5]]))
 
     def test_roundoff_slack_clipped(self):
         ledger = RegretLedger(1, 0)

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,3 +299,85 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(message)
+
+    # (config-file key, flag arguments, ExperimentConfig field, non-default value)
+    KEY_FIELD_ROWS = [
+        ("d", ["--d", "12"], "dim", 12),
+        ("k", ["--k", "3"], "rep_dim", 3),
+        ("M", ["--M", "30"], "num_tasks", 30),
+        ("T", ["--T", "20000"], "horizon", 20_000),
+        ("noise_std", ["--noise-std", "0.5"], "noise_std", 0.5),
+        ("epsilon", ["--epsilon", "0.2"], "epsilon", 0.2),
+        ("delta", ["--delta", "0.1"], "delta", 0.1),
+        ("mode", ["--mode", "pure_exploration"], "mode", "pure_exploration"),
+        ("log_arg", ["--log-arg", "plain"], "log_arg", "plain"),
+        ("noiseless_oracle", ["--noiseless-oracle"], "noiseless_oracle", True),
+        ("seeds", ["--seeds", "3"], "num_seeds", 3),
+        ("master_seed", ["--master-seed", "7"], "master_seed", 7),
+        ("trace_stride", ["--trace-stride", "5"], "trace_stride", 5),
+        ("out_dir", ["--out-dir", "some/dir"], "out_dir", "some/dir"),
+        ("format", ["--format", "json"], "output_format", "json"),
+    ]
+
+    def captured_configs(self, monkeypatch, *args):
+        """The configs ``main`` hands to the harness, without running them."""
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            return [SimpleNamespace(final_regret=0.0)], []
+
+        def fake_compare(configs, out_dir=None):
+            seen.extend(configs)
+            return {"summaries": [], "pairs": []}, []
+
+        monkeypatch.setattr("lowrank_bandits.cli.run_experiment", fake_run)
+        monkeypatch.setattr("lowrank_bandits.cli.compare", fake_compare)
+        assert self.run_cli(*args) == 0
+        return seen
+
+    @pytest.mark.parametrize("key,flags,field,value", KEY_FIELD_ROWS)
+    def test_config_key_reaches_its_field(self, tmp_path, monkeypatch, key, flags, field, value):
+        assert getattr(ExperimentConfig(), field) != value  # the row tests a change
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}))
+        expected = ExperimentConfig(algorithm="lll", **{field: value})
+        assert self.captured_configs(monkeypatch, "lll", "--config", str(config_path)) == [expected]
+        assert self.captured_configs(monkeypatch, "lll", *flags) == [expected]
+
+    @pytest.mark.parametrize("command", harness.ALGORITHMS)
+    def test_no_options_give_the_config_defaults(self, monkeypatch, command):
+        assert self.captured_configs(monkeypatch, command) == [ExperimentConfig(algorithm=command)]
+
+    def test_compare_defaults(self, monkeypatch):
+        configs = self.captured_configs(monkeypatch, "compare")
+        assert configs == [
+            ExperimentConfig(algorithm=name) for name in ("mtrl", "e2tc", "independent")
+        ]
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["mtrl", "--T", "1e4"], "argument --T: invalid int value"),
+            (["mtrl", "--mode", "greedy"], "argument --mode: invalid choice"),
+            (["mtrl", "--bogus", "1"], "unrecognized arguments"),
+            (["bogus"], "argument command: invalid choice"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_bad_flags_give_one_json_line(self, capsys, args, message):
+        assert self.run_cli(*args) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [["--help"], ["mtrl", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(*args)
+        assert exc.value.code == 0
+        assert "usage: lowrank-bandits" in capsys.readouterr().out

@@ -11,7 +11,6 @@ from lowrank_bandits.mtrl import (
     moment_theta_matrix,
     resolve_budgets,
     run_mtrl,
-    stage1_subspace_exploration,
     stage2_per_task,
     stage3_commit,
 )
@@ -63,11 +62,17 @@ def make_instance(noise_std=1.0, seed=0, dim=10, rep_dim=2, num_tasks=25, horizo
     return generate_instance(spec)
 
 
+def stage1_basis(inst, t1, rng, ledger):
+    """Stage 1 as ``run_mtrl`` runs it: explore, stack moment estimates, top-k SVD."""
+    actions, rewards = collect_stage1_samples(inst, t1, rng, ledger)
+    return top_k_left_singular_vectors(moment_theta_matrix(actions, rewards), inst.rep_dim)
+
+
 class TestStage1:
     def test_accounting(self):
         inst = make_instance(horizon=500)
         ledger = RegretLedger(inst.num_tasks, 0)
-        stage1_subspace_exploration(inst, 40, np.random.default_rng(1), ledger)
+        collect_stage1_samples(inst, 40, np.random.default_rng(1), ledger)
         assert ledger.num_pulls == inst.num_tasks * 40
 
     def test_heavy_noise_destroys_the_subspace(self):
@@ -76,9 +81,7 @@ class TestStage1:
             spec = InstanceSpec(10, 2, 25, 10_000, noise_std=100.0, seed=300 + seed)
             inst = generate_instance(spec)
             ledger = RegretLedger(25, 0)
-            _, basis_hat = stage1_subspace_exploration(
-                inst, 50, np.random.default_rng(400 + seed), ledger
-            )
+            basis_hat = stage1_basis(inst, 50, np.random.default_rng(400 + seed), ledger)
             errors.append(subspace_distance(basis_hat, inst.basis))
         assert np.median(errors) > 0.5
 
@@ -211,9 +214,7 @@ class TestRunMtrl:
             for seed in range(50):
                 inst = make_instance(seed=500 + seed)
                 ledger = RegretLedger(inst.num_tasks, 0)
-                _, basis_hat = stage1_subspace_exploration(
-                    inst, t1, np.random.default_rng(600 + seed), ledger
-                )
+                basis_hat = stage1_basis(inst, t1, np.random.default_rng(600 + seed), ledger)
                 errs.append(subspace_distance(basis_hat, inst.basis))
             medians[t1] = float(np.median(errs))
         assert medians[1600] < medians[400]
