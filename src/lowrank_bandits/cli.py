@@ -15,7 +15,10 @@ import sys
 from dataclasses import fields
 
 from .errors import ConfigError
-from .harness import ALGORITHMS, ExperimentConfig, compare, run_experiment
+from .harness import ALGORITHMS, OUTPUT_FORMATS, ExperimentConfig, compare, run_experiment
+from .lll import LOG_ARGS, MODES
+
+_COMPARE_DEFAULT = "mtrl,e2tc,independent"  # the algorithms compare runs when none are named
 
 _OPTION_SPECS = [
     # (flag, dest, type, help)
@@ -59,21 +62,21 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
     parser.add_argument(
         "--mode",
-        choices=["pure_exploration", "regret"],
+        choices=MODES,
         default=None,
         help="lll objective",
     )
     parser.add_argument(
         "--log-arg",
         dest="log_arg",
-        choices=["union", "plain"],
+        choices=LOG_ARGS,
         default=None,
         help="lll confidence log factor: log(2dM/delta) or log(2/delta)",
     )
     parser.add_argument(
         "--format",
         dest="format",
-        choices=["csv", "json"],
+        choices=OUTPUT_FORMATS,
         default=None,
         help="curves output format",
     )
@@ -110,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms",
         type=str,
         default=None,
-        help="comma-separated algorithms (default: mtrl,e2tc,independent)",
+        help=f"comma-separated algorithms (default: {_COMPARE_DEFAULT})",
     )
     return parser
 
@@ -144,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         options = _resolve_options(args)
         algos = options.pop("algorithms", None)
         if args.command == "compare":
-            algos = algos or "mtrl,e2tc,independent"
+            algos = algos or _COMPARE_DEFAULT
             if not isinstance(algos, str):
                 raise ConfigError(f"algorithms: must be a string, got {algos!r}")
             algos = algos.split(",")

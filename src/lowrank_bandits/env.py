@@ -23,7 +23,7 @@ ACTION_NORM_ATOL = 1e-9
 UNIT_THETA_ATOL = 1e-10
 RANK_SIGMA_MIN = 1e-8
 REGRET_SLACK = 1e-9  # tolerated roundoff outside [0, 2] before raising
-INTERLEAVED_CHUNK = 1 << 16  # entries per chunk of a constant interleaved record
+INTERLEAVED_CHUNK = 1 << 16  # entries per chunk of an interleaved record
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,23 @@ def generate_instance(
     return instance
 
 
-def _check_task(instance: BanditInstance, task: int) -> None:
+def _mean_rewards(
+    instance: BanditInstance, task: int, actions: np.ndarray
+) -> np.ndarray:
+    """``<a, theta_task>`` for one action (1-D) or rows of actions (2-D).
+
+    The one place where the task index, the action dimension and the unit
+    ball are checked, so every oracle call is checked the same way.
+    """
     if not 0 <= task < instance.num_tasks:
-        raise ValueError(
-            f"task index {task} out of range [0, {instance.num_tasks})"
-        )
-
-
-def _check_actions(actions: np.ndarray, dim: int) -> np.ndarray:
+        raise ValueError(f"task index {task} out of range [0, {instance.num_tasks})")
     actions = np.asarray(actions, dtype=float)
-    if actions.shape[-1] != dim:
-        raise ValueError(f"action dimension {actions.shape[-1]} != {dim}")
-    norms = np.linalg.norm(actions, axis=-1)
-    worst = float(np.max(norms, initial=0.0))
+    if actions.shape[-1] != instance.dim:
+        raise ValueError(f"action dimension {actions.shape[-1]} != {instance.dim}")
+    worst = float(np.max(np.linalg.norm(actions, axis=-1), initial=0.0))
     if worst > 1.0 + ACTION_NORM_ATOL:
         raise InfeasibleActionError(f"action norm {worst} exceeds the unit ball")
-    return actions
+    return actions @ instance.thetas[:, task]
 
 
 def pull_many(
@@ -156,10 +157,8 @@ def pull_many(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Rewards for a batch of actions (rows) on one task."""
-    _check_task(instance, task)
-    actions = _check_actions(np.atleast_2d(np.asarray(actions, dtype=float)), instance.dim)
-    means = actions @ instance.thetas[:, task]
-    return means + instance.noise_std * rng.standard_normal(actions.shape[0])
+    means = _mean_rewards(instance, task, np.atleast_2d(actions))
+    return means + instance.noise_std * rng.standard_normal(means.shape[0])
 
 
 def pull_block_mean(
@@ -178,9 +177,8 @@ def pull_block_mean(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    _check_task(instance, task)
-    action = _check_actions(np.asarray(action, dtype=float).ravel(), instance.dim)
-    mean = float(action @ instance.thetas[:, task])
+    action = np.asarray(action, dtype=float).ravel()
+    mean = float(_mean_rewards(instance, task, action))
     scale = instance.noise_std / np.sqrt(count)
     return mean + scale * float(rng.standard_normal())
 
@@ -191,9 +189,8 @@ def instant_regret(instance: BanditInstance, task: int, action: np.ndarray) -> f
     Noise-free by construction: the reward noise is zero-mean, so expected
     regret depends on the action alone.
     """
-    _check_task(instance, task)
-    action = _check_actions(np.asarray(action, dtype=float).ravel(), instance.dim)
-    gap = 1.0 - float(action @ instance.thetas[:, task])
+    action = np.asarray(action, dtype=float).ravel()
+    gap = 1.0 - float(_mean_rewards(instance, task, action))
     return min(max(gap, 0.0), 2.0)
 
 
@@ -201,10 +198,7 @@ def instant_regret_many(
     instance: BanditInstance, task: int, actions: np.ndarray
 ) -> np.ndarray:
     """Vectorized ``instant_regret`` over rows of ``actions``."""
-    _check_task(instance, task)
-    actions = _check_actions(np.atleast_2d(np.asarray(actions, dtype=float)), instance.dim)
-    gaps = 1.0 - actions @ instance.thetas[:, task]
-    return np.clip(gaps, 0.0, 2.0)
+    return np.clip(1.0 - _mean_rewards(instance, task, np.atleast_2d(actions)), 0.0, 2.0)
 
 
 class RegretLedger:
@@ -219,13 +213,10 @@ class RegretLedger:
 
     * ``record_block`` — one task repeats one action ``count`` times
       (sequential protocols, commit phases).
-    * ``record_interleaved`` — a ``(num_tasks, steps)`` matrix accounted in
-      step-major order, i.e. at each step all tasks pull once, matching the
-      concurrent multi-task protocol.
-    * ``record_interleaved_block`` — every task repeats one regret for
-      ``steps`` concurrent steps (commit phases).  Bit-identical to
-      ``record_interleaved`` of the broadcast ``(num_tasks, steps)`` matrix,
-      in memory independent of ``steps``.
+    * ``record_interleaved`` — a ``(num_tasks, columns)`` matrix accounted
+      in step-major order, i.e. at each step all tasks pull once, matching
+      the concurrent multi-task protocol; each column may repeat for several
+      steps (commit phases: one column, every remaining step).
     """
 
     def __init__(self, num_tasks: int, trace_stride: int = 10):
@@ -273,55 +264,50 @@ class RegretLedger:
         self.total += value * count
         self.num_pulls += count
 
-    def record_interleaved(self, regrets: np.ndarray) -> None:
-        regrets = self._validated(np.asarray(regrets, dtype=float))
-        if regrets.ndim != 2 or regrets.shape[0] != self.num_tasks:
-            raise ValueError(
-                f"expected shape ({self.num_tasks}, steps), got {regrets.shape}"
-            )
-        self.per_task += regrets.sum(axis=1)
-        if regrets.size == 0:
-            return
-        cums = np.cumsum(regrets.T.ravel())  # step-major: all tasks pull at each step
-        if self.trace_stride:
-            ts = self._checkpoints(regrets.size)
-            self._trace_t.append(ts)
-            self._trace_cum.append(self.total + cums[ts - self.num_pulls - 1])
-        self.total += float(cums[-1])
-        self.num_pulls += regrets.size
+    def record_interleaved(self, regrets: np.ndarray, repeat: int = 1) -> None:
+        """Account a ``(num_tasks, columns)`` matrix in step-major order.
 
-    def record_interleaved_block(self, values: np.ndarray, steps: int) -> None:
-        """Task ``m`` pays ``values[m]`` at each of ``steps`` concurrent steps.
-
-        The step-major sequence is cumulated in tiled chunks of about
-        ``INTERLEAVED_CHUNK`` entries.  Each chunk's cumsum starts from the
-        previous chunk's last partial sum, so every partial sum is the one a
-        single ``np.cumsum`` over the whole sequence gives.
+        At each step every task pulls once, and column ``j`` is paid at
+        ``repeat`` consecutive steps.  The step-major sequence is cumulated in
+        chunks of about ``INTERLEAVED_CHUNK`` entries.  Each chunk's cumsum
+        starts from the previous chunk's last partial sum, so every partial
+        sum is the one a single ``np.cumsum`` over the whole sequence gives,
+        and memory does not grow with ``repeat``.
         """
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        values = self._validated(np.asarray(values, dtype=float))
+        if repeat < 0:
+            raise ValueError(f"repeat must be >= 0, got {repeat}")
+        regrets = self._validated(regrets)
         num_tasks = self.num_tasks
-        if values.shape != (num_tasks,):
-            raise ValueError(f"expected shape ({num_tasks},), got {values.shape}")
-        # A stride-0 view: no allocation, and the same sum as the materialised matrix.
-        self.per_task += np.broadcast_to(values[:, None], (num_tasks, steps)).sum(axis=1)
+        if regrets.ndim != 2 or regrets.shape[0] != num_tasks:
+            raise ValueError(
+                f"expected shape ({num_tasks}, columns), got {regrets.shape}"
+            )
+        steps = regrets.shape[1] * repeat
+        # A view, not a copy, when columns == 1 or repeat == 1.
+        repeated = np.broadcast_to(regrets[:, :, None], regrets.shape + (repeat,))
+        self.per_task += repeated.reshape(num_tasks, steps).sum(axis=1)
         count = num_tasks * steps
         if count == 0:
             return
-        rows = max(1, INTERLEAVED_CHUNK // num_tasks)
-        tiled = np.tile(values, rows)
-        buf = np.empty(tiled.size + 1)  # [carry, chunk...], cumulated in place
+        rows = min(steps, max(1, INTERLEAVED_CHUNK // num_tasks))  # steps per chunk
+        buf = np.empty(rows * num_tasks + 1)  # [carry, chunk...], cumulated in place
         if self.trace_stride:
             ts = self._checkpoints(count)
             idx = ts - self.num_pulls - 1  # offsets into this call's sequence
             picked = np.empty(ts.size)
         carry, done = 0.0, 0
-        for offset in range(0, count, tiled.size):
-            size = min(tiled.size, count - offset)
+        for first in range(0, steps, rows):
+            last = min(first + rows, steps)
+            size = (last - first) * num_tasks
+            chunk = buf[1 : size + 1].reshape(last - first, num_tasks)
+            if first // repeat == (last - 1) // repeat:  # inside one column
+                chunk[:] = regrets[:, first // repeat]
+            else:
+                cols = np.arange(first, last) // repeat  # all in range
+                np.take(regrets.T, cols, axis=0, out=chunk, mode="clip")  # unbuffered out
             buf[0] = carry
-            buf[1 : size + 1] = tiled[:size]
             cums = np.cumsum(buf[: size + 1], out=buf[: size + 1])[1:]
+            offset = first * num_tasks
             if self.trace_stride:
                 end = np.searchsorted(idx, offset + size)
                 picked[done:end] = cums[idx[done:end] - offset]

@@ -17,6 +17,9 @@ Output files (schemas fixed):
   ``algo,d,k,M,T,seed,task,task_regret,entered_stage2,tau_after,samples_used``.
 * summary: a structured JSON document.
 
+``compare`` writes ``comparison.json`` instead of a summary, and each
+config's curves and per-task files with the suffix ``_<i>_<algo>``.
+
 Floats are serialized with 17 significant digits so parsing a file
 reconstructs the exact binary64 values.  Files are written atomically
 (temp file + rename) and are byte-identical for identical configs
@@ -41,7 +44,7 @@ import numpy as np
 from .baselines import run_e2tc, run_independent_etc
 from .env import InstanceSpec, generate_instance
 from .errors import ConfigError, require_finite, require_int
-from .lll import LllConfig, run_lll
+from .lll import LllConfig, check_options, run_lll
 from .mtrl import MtrlConfig, run_mtrl
 
 ALGORITHMS = ("mtrl", "e2tc", "independent", "lll")
@@ -138,6 +141,8 @@ class ExperimentConfig:
             )
         if self.algorithm == "lll":
             self.lll_config().validate()
+        else:  # summary.json echoes the lifelong options for every algorithm
+            check_options(self.mode, self.log_arg, self.delta, self.epsilon)
         if self.noiseless_oracle:
             if self.noise_std != 0:
                 raise ConfigError("noiseless_oracle: requires noise_std == 0")
@@ -280,17 +285,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if config.output_format == "csv":
-            curves = out_dir / "curves.csv"
-            _atomic_write(curves, _curves_csv_text(records))
-        else:
-            curves = out_dir / "curves.json"
-            _atomic_write(curves, _curves_json_text(records))
-        written.append(curves)
-        if config.algorithm == "lll":
-            per_task = out_dir / "per_task.csv"
-            _atomic_write(per_task, _per_task_csv_text(records))
-            written.append(per_task)
+        written = _write_records(out_dir, "", config, records)
         summary_path = out_dir / "summary.json"
         _atomic_write(summary_path, _summary_json_text(config, records))
         written.append(summary_path)
@@ -424,9 +419,7 @@ def compare(
         _atomic_write(path, json.dumps(table, indent=2, sort_keys=True) + "\n")
         written.append(path)
         for idx, (cfg, records) in enumerate(zip(configs, all_records)):
-            curves = out / f"curves_{idx}_{cfg.algorithm}.csv"
-            _atomic_write(curves, _curves_csv_text(records))
-            written.append(curves)
+            written += _write_records(out, f"_{idx}_{cfg.algorithm}", cfg, records)
     return table, written
 
 
@@ -445,6 +438,19 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def _write_records(
+    out_dir: Path, suffix: str, config: ExperimentConfig, records: list[RunRecord]
+) -> list[Path]:
+    """Write the curves in ``config.output_format`` and, for lll, the per-task CSV."""
+    written = [out_dir / f"curves{suffix}.{config.output_format}"]
+    curves_text = _curves_csv_text if config.output_format == "csv" else _curves_json_text
+    _atomic_write(written[0], curves_text(records))
+    if config.algorithm == "lll":
+        written.append(out_dir / f"per_task{suffix}.csv")
+        _atomic_write(written[1], _per_task_csv_text(records))
+    return written
 
 
 def _curves_rows(records: list[RunRecord]):

@@ -65,7 +65,7 @@ class LllConfig:
 
     ``epsilon`` is the target estimation accuracy and is required in
     pure-exploration mode; in regret mode it is derived from the instance
-    and horizon (see module docstring), and the field is ignored.
+    and horizon (see module docstring), and a given value is only checked.
     """
 
     epsilon: float | None = None
@@ -74,20 +74,21 @@ class LllConfig:
     log_arg: str = "union"
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
-        if self.log_arg not in LOG_ARGS:
-            raise ConfigError(
-                f"log_arg: must be one of {LOG_ARGS}, got {self.log_arg!r}"
-            )
-        if not 0 < self.delta < 1:
-            raise ConfigError(f"delta: must be in (0, 1), got {self.delta}")
-        if self.mode == "pure_exploration":
-            if self.epsilon is None or not 0 < self.epsilon < 1:
-                raise ConfigError(
-                    f"epsilon: must be in (0, 1) in pure_exploration mode, "
-                    f"got {self.epsilon}"
-                )
+        check_options(self.mode, self.log_arg, self.delta, self.epsilon)
+        if self.mode == "pure_exploration" and self.epsilon is None:
+            raise ConfigError("epsilon: required in pure_exploration mode")
+
+
+def check_options(mode: str, log_arg: str, delta: float, epsilon: float | None) -> None:
+    """Membership and range of the lifelong options; ``epsilon`` may be unset."""
+    if mode not in MODES:
+        raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
+    if log_arg not in LOG_ARGS:
+        raise ConfigError(f"log_arg: must be one of {LOG_ARGS}, got {log_arg!r}")
+    if not 0 < delta < 1:
+        raise ConfigError(f"delta: must be in (0, 1), got {delta}")
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ConfigError(f"epsilon: must be in (0, 1), got {epsilon}")
 
 
 def log_factor(delta: float, dim: int, num_tasks: int, log_arg: str = "union") -> float:
@@ -250,7 +251,7 @@ class LllState:
 
 def run_lll(
     instance: BanditInstance,
-    config: LllConfig | None = None,
+    config: LllConfig,
     rng: np.random.Generator | None = None,
     trace_stride: int = 0,
 ) -> tuple[LllState, RegretLedger, int]:
@@ -262,7 +263,6 @@ def run_lll(
     cannot fit inside the horizon raises ``HorizonTooShortError`` before
     the overrun rather than truncating.
     """
-    config = config or LllConfig()
     config.validate()
     rng = rng if rng is not None else np.random.default_rng(0)
     dim, rep_dim = instance.dim, instance.rep_dim

@@ -202,7 +202,7 @@ def stage3_commit(
     for task in range(num_tasks):
         action = argmax_unit_ball(theta_hats[:, task])
         per_task[task] = instant_regret(instance, task, action)
-    ledger.record_interleaved_block(per_task, remaining_steps)
+    ledger.record_interleaved(per_task[:, None], remaining_steps)
 
 
 @dataclass(eq=False)

@@ -166,6 +166,43 @@ class TestInstantRegret:
         assert np.allclose(batch, singles, atol=1e-15)
 
 
+ORACLES = {
+    "pull_many": lambda inst, task, a: pull_many(inst, task, a, np.random.default_rng(0)),
+    "pull_block_mean": lambda inst, task, a: pull_block_mean(
+        inst, task, a, 3, np.random.default_rng(0)
+    ),
+    "instant_regret": instant_regret,
+    "instant_regret_many": instant_regret_many,
+}
+BATCH_ORACLES = {"pull_many", "instant_regret_many"}
+
+
+class TestOracleBoundary:
+    """Every oracle checks the task index, the action dimension and the unit ball."""
+
+    @pytest.mark.parametrize(
+        "case,error",
+        [
+            ("task -1", ValueError),
+            ("task num_tasks", ValueError),
+            ("wrong dimension", ValueError),
+            ("norm 1.5", InfeasibleActionError),
+        ],
+    )
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_bad_input_rejected(self, oracle, case, error):
+        inst = small_instance()
+        dim = inst.dim + 1 if case == "wrong dimension" else inst.dim
+        action = np.eye(dim)[0] * (1.5 if case == "norm 1.5" else 1.0)
+        task = {"task -1": -1, "task num_tasks": inst.num_tasks}.get(case, 0)
+        if oracle in BATCH_ORACLES:  # the bad row behind a good one
+            action = np.vstack([np.zeros(dim), action])
+        with pytest.raises(error) as caught:
+            ORACLES[oracle](inst, task, action)
+        assert type(caught.value) is error
+        ORACLES[oracle](inst, 0, np.eye(inst.dim)[0])  # the same call with good input passes
+
+
 class TestRegretLedger:
     def brute_force(self, events, num_tasks, stride):
         """Oracle: replay events pull by pull and thin the cumulative sums."""
@@ -255,7 +292,7 @@ class TestRegretLedger:
 
 
 class TestRecordInterleavedBlock:
-    """The constant-block record against the broadcast matrix it replaces."""
+    """``record_interleaved`` with ``repeat``: a matrix whose columns each repeat."""
 
     @staticmethod
     def record_both(num_tasks, steps, stride, prior):
@@ -268,7 +305,7 @@ class TestRecordInterleavedBlock:
                 ledger.record_interleaved(history)
                 ledger.record_block(num_tasks - 1, 0.3, 11)
         ledgers[0].record_interleaved(np.broadcast_to(values[:, None], (num_tasks, steps)))
-        ledgers[1].record_interleaved_block(values, steps)
+        ledgers[1].record_interleaved(values[:, None], steps)
         for ledger in ledgers:
             ledger.record_block(0, 0.7, 5)
         return ledgers
@@ -293,6 +330,7 @@ class TestRecordInterleavedBlock:
         ],
     )
     def test_bit_identical_to_broadcast(self, num_tasks, steps, stride, prior):
+        """One column repeated ``steps`` times records what the broadcast matrix does."""
         if stride == "beyond":
             stride = num_tasks * steps + 50
         old, new = self.record_both(num_tasks, steps, stride, prior)
@@ -304,25 +342,75 @@ class TestRecordInterleavedBlock:
         assert np.array_equal(new_t, old_t)
         assert np.array_equal(new_c, old_c)
 
+    @pytest.mark.parametrize("prior", [False, True])
+    @pytest.mark.parametrize("stride", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "num_tasks,columns,repeat",
+        [
+            (4, 0, 3),
+            (4, 3, 0),
+            (3, 50, 1),  # repeat 1: every column its own step
+            (200, 634, 1),
+            (7, 20_000, 1),  # three chunks of many columns
+            (200, 1, 1000),  # one column, the commit phase
+            (5, 1, 30_000),
+            (1, 1, INTERLEAVED_CHUNK + 1),
+            (3, 4, 5),  # several columns that repeat
+            (256, 5, 100),  # chunks cross column boundaries
+            (7, 3, INTERLEAVED_CHUNK // 7 + 3),
+            (2, 3, INTERLEAVED_CHUNK // 2),  # chunks end on column boundaries
+            (1, 3, INTERLEAVED_CHUNK),
+            (INTERLEAVED_CHUNK + 3, 2, 2),  # more tasks than one chunk holds
+        ],
+    )
+    def test_matches_the_materialised_sequence(self, num_tasks, columns, repeat, stride, prior):
+        rng = np.random.default_rng(num_tasks * 7919 + columns * 31 + repeat)
+        regrets = rng.uniform(0, 2, size=(num_tasks, columns))
+        ledger = RegretLedger(num_tasks, stride)
+        if prior:
+            ledger.record_interleaved(rng.uniform(0, 2, size=(num_tasks, 3)))
+            ledger.record_block(num_tasks - 1, 0.3, 11)
+        total, pulls, per_task = ledger.total, ledger.num_pulls, ledger.per_task.copy()
+        ledger.record_interleaved(regrets, repeat)
+
+        materialised = np.repeat(regrets, repeat, axis=1)  # (num_tasks, steps)
+        count = materialised.size
+        cums = total + np.cumsum(materialised.T.ravel())  # step-major, unchunked
+        assert ledger.num_pulls == pulls + count
+        assert np.array_equal(ledger.per_task, per_task + materialised.sum(axis=1))
+        assert ledger.total == (cums[-1] if count else total)
+        if stride == 0:
+            assert ledger.trace()[0].size == 0
+            return
+        ts = np.arange((pulls // stride + 1) * stride, pulls + count + 1, stride)
+        expected_t, expected_c = list(ts), list(cums[ts - pulls - 1])
+        if count and (not expected_t or expected_t[-1] != pulls + count):
+            expected_t.append(pulls + count)
+            expected_c.append(cums[-1])
+        got_t, got_c = ledger.trace()
+        after = got_t > pulls
+        assert np.array_equal(got_t[after], expected_t)
+        assert np.array_equal(got_c[after], expected_c)
+
     def test_out_of_range_regret_rejected(self):
         ledger = RegretLedger(2, 0)
         with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
-            ledger.record_interleaved_block(np.array([0.5, 2.5]), 3)
+            ledger.record_interleaved(np.array([[0.5], [2.5]]), 3)
         with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
-            ledger.record_interleaved_block(np.array([-0.2, 0.5]), 3)
+            ledger.record_interleaved(np.array([[-0.2], [0.5]]), 3)
         assert ledger.num_pulls == 0
 
     def test_wrong_shape_rejected(self):
         ledger = RegretLedger(3, 0)
         with pytest.raises(ValueError, match="expected shape"):
-            ledger.record_interleaved_block(np.array([0.5, 0.5]), 3)
+            ledger.record_interleaved(np.array([[0.5], [0.5]]), 3)
         with pytest.raises(ValueError, match="expected shape"):
-            ledger.record_interleaved_block(np.full((3, 1), 0.5), 3)
+            ledger.record_interleaved(np.full(3, 0.5), 3)
 
     def test_negative_steps_rejected(self):
         ledger = RegretLedger(2, 0)
-        with pytest.raises(ValueError, match="steps"):
-            ledger.record_interleaved_block(np.array([0.5, 0.5]), -1)
+        with pytest.raises(ValueError, match="repeat"):
+            ledger.record_interleaved(np.array([[0.5], [0.5]]), -1)
 
     def test_memory_independent_of_steps(self):
         num_tasks, steps = 200, 100_000
@@ -330,7 +418,7 @@ class TestRecordInterleavedBlock:
         ledger = RegretLedger(num_tasks, trace_stride=1000)
         tracemalloc.start()
         try:
-            ledger.record_interleaved_block(values, steps)
+            ledger.record_interleaved(values[:, None], steps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -116,6 +116,10 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="epsilon"):
             run_experiment(small_config(algorithm="lll", mode="pure_exploration"))
 
+    @pytest.mark.parametrize("algorithm", ["mtrl", "e2tc", "independent"])
+    def test_epsilon_only_required_for_lll(self, algorithm):
+        small_config(algorithm=algorithm, mode="pure_exploration").validate()
+
 
 class TestRoundTrip:
     def test_curves_round_trip(self, tmp_path):
@@ -252,6 +256,24 @@ class TestCli:
         assert code == 0
         assert (out / "comparison.json").exists()
 
+    @pytest.mark.parametrize("fmt,suffix", [("csv", ".csv"), ("json", ".json")])
+    def test_compare_writes_curves_in_the_format(self, tmp_path, capsys, fmt, suffix):
+        out = tmp_path / "cmp"
+        code = self.run_cli(
+            "compare", "--algorithms", "mtrl,lll", "--d", "6", "--k", "2", "--M", "5",
+            "--T", "400", "--seeds", "2", "--epsilon", "0.3", "--format", fmt,
+            "--out-dir", str(out),
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "comparison.json", f"curves_0_mtrl{suffix}", f"curves_1_lll{suffix}",
+            "per_task_1_lll.csv",
+        ]
+        if fmt == "json":
+            rows = json.loads((out / "curves_0_mtrl.json").read_text())
+            assert {row["algo"] for row in rows} == {"mtrl"}
+        assert len(read_per_task_csv(out / "per_task_1_lll.csv")) == 2
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"d": 6, "k": 2, "M": 5, "T": 400, "seeds": 1}))
@@ -288,6 +310,11 @@ class TestCli:
             ("mtrl", '{"out_dir": 5}', "out_dir: must be a string"),
             ("compare", '{"noise_std": NaN}', "noise_std: must be a finite"),
             ("compare", '{"algorithms": 5}', "algorithms: must be a string"),
+            ("mtrl", '{"mode": "bogus"}', "mode: must be one of"),
+            ("e2tc", '{"log_arg": 7}', "log_arg: must be one of"),
+            ("independent", '{"delta": 5.0}', "delta: must be in (0, 1)"),
+            ("mtrl", '{"epsilon": -3}', "epsilon: must be in (0, 1)"),
+            ("compare", '{"mode": "bogus"}', "mode: must be one of"),
         ],
     )
     def test_config_file_types_checked(self, tmp_path, capsys, command, text, message):

@@ -236,6 +236,11 @@ class TestRunLll:
         with pytest.raises(ConfigError, match="mode"):
             LllConfig(mode="both").validate()
 
+    def test_config_is_required(self):
+        # No default: LllConfig() is pure exploration without an epsilon, never valid.
+        with pytest.raises(TypeError):
+            run_lll(make_instance(seed=15))
+
     def test_deterministic_given_seed(self):
         inst = make_instance(seed=16, num_tasks=15)
         config = LllConfig(epsilon=0.1)
