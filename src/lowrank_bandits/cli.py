@@ -47,7 +47,7 @@ _KEY_FIELDS = {
 _FIELD_KEYS = {field: key for key, field in _KEY_FIELDS.items()}
 _CONFIG_KEYS = [
     _FIELD_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig) if f.name != "algorithm"
-] + ["algorithms"]
+]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,17 +124,18 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     Explicit flags override file values; options set by neither are left out
     and keep the ``ExperimentConfig`` defaults.
     """
+    keys = _CONFIG_KEYS + (["algorithms"] if args.command == "compare" else [])
     values = {}
     if args.config_file:
         with open(args.config_file) as handle:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ConfigError("config: file must hold a JSON object")
-        unknown = set(file_values) - set(_CONFIG_KEYS)
+        unknown = set(file_values) - set(keys)
         if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+            raise ConfigError(f"config: unknown keys for {args.command}: {sorted(unknown)}")
         values.update(file_values)
-    for key in _CONFIG_KEYS:
+    for key in keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
@@ -145,9 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         options = _resolve_options(args)
-        algos = options.pop("algorithms", None)
         if args.command == "compare":
-            algos = algos or _COMPARE_DEFAULT
+            algos = options.pop("algorithms", None) or _COMPARE_DEFAULT
             if not isinstance(algos, str):
                 raise ConfigError(f"algorithms: must be a string, got {algos!r}")
             algos = algos.split(",")

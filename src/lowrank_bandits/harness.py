@@ -12,7 +12,8 @@ their algorithms on identical instances replicate by replicate.
 Output files (schemas fixed):
 
 * curves: CSV header ``algo,d,k,M,T,noise_std,seed,t,cum_regret`` — one
-  row per trace point per replicate.
+  row per trace point per replicate.  In JSON, the same rows as objects
+  keyed by the header, whose values are the CSV field strings.
 * per-task (lifelong runs only): CSV header
   ``algo,d,k,M,T,seed,task,task_regret,entered_stage2,tau_after,samples_used``.
 * summary: a structured JSON document.
@@ -29,11 +30,9 @@ regardless of worker count.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import multiprocessing as mp
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -428,15 +427,21 @@ def compare(
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a new temp file beside ``path``, then rename it over ``path``.
+
+    The temp file is created with mode 0o666, so the process umask sets the
+    final permissions, as it does for ``open``.
+    """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp_path = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp_name, path)
+        os.replace(tmp_path, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
         raise
 
 
@@ -453,57 +458,42 @@ def _write_records(
     return written
 
 
-def _curves_rows(records: list[RunRecord]):
-    for r in records:
-        for t, cum in zip(r.trace_t, r.trace_regret):
-            yield [
-                r.algorithm,
-                str(r.dim),
-                str(r.rep_dim),
-                str(r.num_tasks),
-                str(r.horizon),
-                fmt(r.noise_std),
-                str(r.seed_index),
-                str(int(t)),
-                fmt(cum),
-            ]
-
-
 def _curves_csv_text(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVES_HEADER)
-    writer.writerows(_curves_rows(records))
-    return buf.getvalue()
+    lines = [",".join(CURVES_HEADER) + "\n"]
+    for r in records:
+        prefix = (
+            f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
+            f"{fmt(r.noise_std)},{r.seed_index},"
+        )
+        lines += [
+            f"{prefix}{t},{c:.17g}\n"
+            for t, c in zip(r.trace_t.tolist(), r.trace_regret.tolist())
+        ]
+    return "".join(lines)
 
 
 def _curves_json_text(records: list[RunRecord]) -> str:
-    rows = [dict(zip(CURVES_HEADER, row)) for row in _curves_rows(records)]
-    return json.dumps(rows, indent=2) + "\n"
+    """The curves CSV rows as objects of their field strings (no field holds a comma)."""
+    rows = _curves_csv_text(records).splitlines()[1:]
+    objects = [dict(zip(CURVES_HEADER, row.split(","))) for row in rows]
+    return json.dumps(objects, indent=2) + "\n"
 
 
 def _per_task_csv_text(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PER_TASK_HEADER)
+    lines = [",".join(PER_TASK_HEADER) + "\n"]
     for r in records:
-        for task in range(r.num_tasks):
-            writer.writerow(
-                [
-                    r.algorithm,
-                    str(r.dim),
-                    str(r.rep_dim),
-                    str(r.num_tasks),
-                    str(r.horizon),
-                    str(r.seed_index),
-                    str(task),
-                    fmt(r.per_task_regret[task]),
-                    str(int(r.entered_stage2[task])),
-                    str(int(r.width_after[task])),
-                    str(int(r.samples_used[task])),
-                ]
-            )
-    return buf.getvalue()
+        prefix = f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},{r.seed_index},"
+        columns = zip(
+            r.per_task_regret.tolist(),
+            r.entered_stage2.tolist(),
+            r.width_after.tolist(),
+            r.samples_used.tolist(),
+        )
+        lines += [  # ":d" writes the bool column as 0/1
+            f"{prefix}{task},{regret:.17g},{entered:d},{width:d},{samples:d}\n"
+            for task, (regret, entered, width, samples) in enumerate(columns)
+        ]
+    return "".join(lines)
 
 
 def _summary_json_text(config: ExperimentConfig, records: list[RunRecord]) -> str:

@@ -63,14 +63,16 @@ FULL_BASIS_RESIDUAL_ATOL = 1e-6
 class LllConfig:
     """Lifelong-learner configuration.
 
-    ``epsilon`` is the target estimation accuracy and is required in
-    pure-exploration mode; in regret mode it is derived from the instance
-    and horizon (see module docstring), and a given value is only checked.
+    ``mode`` (one of ``MODES``) has no default, because the two modes play
+    different objectives.  ``epsilon`` is the target estimation accuracy and
+    is required in pure-exploration mode; in regret mode it is derived from
+    the instance and horizon (see module docstring), and a given value is
+    only checked.
     """
 
+    mode: str
     epsilon: float | None = None
     delta: float = 0.05
-    mode: str = "pure_exploration"
     log_arg: str = "union"
 
     def validate(self) -> None:

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import stat
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +97,23 @@ class TestRunExperiment:
         leftovers = [p for p in out.iterdir() if p.name.startswith(".")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_written_files_follow_the_umask(self, tmp_path, umask):
+        lll = dict(algorithm="lll", mode="pure_exploration", epsilon=0.3)
+        previous = os.umask(umask)
+        try:
+            _, written = run_experiment(small_config(**lll, out_dir=str(tmp_path / "run")))
+            _, compared = compare(
+                [small_config(algorithm="mtrl"), small_config(**lll)],
+                out_dir=str(tmp_path / "cmp"),
+            )
+        finally:
+            os.umask(previous)
+        paths = written + compared
+        assert len(paths) == 7
+        assert sorted(paths) == sorted(tmp_path.glob("*/*"))
+        assert {stat.S_IMODE(p.stat().st_mode) for p in paths} == {0o666 & ~umask}
+
     def test_worker_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -158,6 +178,68 @@ class TestRoundTrip:
         rng = np.random.default_rng(0)
         for value in rng.uniform(-1e6, 1e6, size=200):
             assert float(fmt(value)) == value
+
+    def test_texts_match_the_csv_writer_bytes(self):
+        # The reference renders the rows the way the csv module and json.dumps do.
+        def csv_text(header, rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue()
+
+        def prefix(r):
+            return [r.algorithm, str(r.dim), str(r.rep_dim), str(r.num_tasks), str(r.horizon)]
+
+        def record(algorithm, noise_std, seed, ts, regrets, **lll_fields):
+            return RunRecord(
+                algorithm=algorithm, dim=10, rep_dim=2, num_tasks=3, horizon=1000,
+                noise_std=noise_std, seed_index=seed, final_regret=regrets[-1],
+                trace_t=np.array(ts, dtype=int), trace_regret=np.array(regrets),
+                **lll_fields,
+            )
+
+        def lll_record(seed, noise_std):
+            return record(
+                "lll", noise_std, seed, [40, 3000], [1e-300, 0.1 + 0.2],
+                per_task_regret=np.array([0.1 + 0.2, -0.0, 1e-300]),
+                entered_stage2=np.array([True, False, True]),
+                width_after=np.array([1, 1, 2]),
+                samples_used=np.array([40, 0, 1234]),
+            )
+
+        curves_cases = [
+            [
+                record("mtrl", 1.0, 0, [10, 20, 30, 3000], [0.1 + 0.2, -0.0, 1e-300, 2.5e7 / 3]),
+                record("mtrl", 1.0, 1, [3000], [123.456]),
+            ],
+            [record("independent", 0.0, 0, [3000], [0.0])],
+            [lll_record(0, 1.0), lll_record(1, 0.0)],
+        ]
+        for records in curves_cases:
+            rows = [
+                prefix(r) + [fmt(r.noise_std), str(r.seed_index), str(int(t)), fmt(c)]
+                for r in records
+                for t, c in zip(r.trace_t, r.trace_regret)
+            ]
+            curves_csv = csv_text(harness.CURVES_HEADER, rows)
+            curves_json = json.dumps(
+                [dict(zip(harness.CURVES_HEADER, row)) for row in rows], indent=2
+            ) + "\n"
+            assert harness._curves_csv_text(records) == curves_csv
+            assert harness._curves_json_text(records) == curves_json
+
+        records = curves_cases[-1]
+        rows = [
+            prefix(r) + [
+                str(r.seed_index), str(task), fmt(r.per_task_regret[task]),
+                str(int(r.entered_stage2[task])), str(int(r.width_after[task])),
+                str(int(r.samples_used[task])),
+            ]
+            for r in records
+            for task in range(r.num_tasks)
+        ]
+        assert harness._per_task_csv_text(records) == csv_text(harness.PER_TASK_HEADER, rows)
 
 
 class TestSummarize:
@@ -315,6 +397,7 @@ class TestCli:
             ("independent", '{"delta": 5.0}', "delta: must be in (0, 1)"),
             ("mtrl", '{"epsilon": -3}', "epsilon: must be in (0, 1)"),
             ("compare", '{"mode": "bogus"}', "mode: must be one of"),
+            ("mtrl", '{"algorithms": "lll"}', "config: unknown keys for mtrl: ['algorithms']"),
         ],
     )
     def test_config_file_types_checked(self, tmp_path, capsys, command, text, message):

@@ -204,7 +204,7 @@ class TestRunLll:
 
     def test_pure_mode_trace_and_width_monotone(self):
         inst = make_instance(seed=9, num_tasks=30)
-        config = LllConfig(epsilon=0.1, delta=0.05)
+        config = LllConfig(epsilon=0.1, delta=0.05, mode="pure_exploration")
         state, ledger, _ = run_lll(inst, config, np.random.default_rng(10), trace_stride=1000)
         assert np.all(np.diff(state.width_after) >= 0)
         assert state.width <= inst.dim
@@ -237,13 +237,19 @@ class TestRunLll:
             LllConfig(mode="both").validate()
 
     def test_config_is_required(self):
-        # No default: LllConfig() is pure exploration without an epsilon, never valid.
+        # No default config: a run must say which objective it plays.
         with pytest.raises(TypeError):
             run_lll(make_instance(seed=15))
 
+    def test_mode_is_required(self):
+        with pytest.raises(TypeError, match="mode"):
+            LllConfig()
+        with pytest.raises(TypeError, match="mode"):
+            LllConfig(epsilon=0.1)
+
     def test_deterministic_given_seed(self):
         inst = make_instance(seed=16, num_tasks=15)
-        config = LllConfig(epsilon=0.1)
+        config = LllConfig(epsilon=0.1, mode="pure_exploration")
         a = run_lll(inst, config, np.random.default_rng(17))
         b = run_lll(inst, config, np.random.default_rng(17))
         assert a[2] == b[2]
@@ -267,6 +273,6 @@ class TestBasisGrowthReport:
     def test_width_never_exceeds_dim(self):
         inst = make_instance(seed=19, num_tasks=40)
         state, _, _ = run_lll(
-            inst, LllConfig(epsilon=0.3), np.random.default_rng(20)
+            inst, LllConfig(epsilon=0.3, mode="pure_exploration"), np.random.default_rng(20)
         )
         assert state.width <= inst.dim
