@@ -209,6 +209,14 @@ class RegretLedger:
     taken every ``trace_stride`` pulls (plus the final pull).
     ``trace_stride=0`` disables the trace; totals are still exact.
 
+    The trace is kept as one segment per record, ``(num_pulls, count,
+    total, value)`` as they stood when the record began: a block's
+    ``value`` is its per-pull regret, so it stores O(1) whatever its
+    count; an interleaved record's ``value`` is the array of partial sums
+    it picked at its checkpoints.  The checkpoints are the multiples of
+    ``trace_stride`` in ``(0, num_pulls]``, so the segments alone rebuild
+    the trace, and ``trace`` expands them once.
+
     Recording styles:
 
     * ``record_block`` — one task repeats one action ``count`` times
@@ -229,8 +237,7 @@ class RegretLedger:
         self.per_task = np.zeros(num_tasks)
         self.total = 0.0
         self.num_pulls = 0
-        self._trace_t: list[np.ndarray] = []
-        self._trace_cum: list[np.ndarray] = []
+        self._segments: list[tuple[int, int, float, float | np.ndarray]] = []
 
     @staticmethod
     def _validated(values: np.ndarray) -> np.ndarray:
@@ -240,6 +247,8 @@ class RegretLedger:
             hi = float(values.max())
             if lo < -REGRET_SLACK or hi > 2.0 + REGRET_SLACK:
                 raise ValueError(f"regret outside [0, 2]: range [{lo}, {hi}]")
+            if lo >= 0.0 and hi <= 2.0:  # in range: skip the copy np.clip makes
+                return values
         return np.clip(values, 0.0, 2.0)
 
     def _checkpoints(self, count: int) -> np.ndarray:
@@ -257,9 +266,7 @@ class RegretLedger:
             raise ValueError(f"task index {task} out of range")
         value = float(self._validated(np.array([value]))[0])
         if self.trace_stride:
-            ts = self._checkpoints(count)
-            self._trace_t.append(ts)
-            self._trace_cum.append(self.total + (ts - self.num_pulls) * value)
+            self._segments.append((self.num_pulls, count, self.total, value))
         self.per_task[task] += value * count
         self.total += value * count
         self.num_pulls += count
@@ -314,18 +321,29 @@ class RegretLedger:
                 done = end
             carry = cums[-1]
         if self.trace_stride:
-            self._trace_t.append(ts)
-            self._trace_cum.append(self.total + picked)
+            self._segments.append((self.num_pulls, count, self.total, picked))
         self.total += float(carry)
         self.num_pulls += count
 
     def trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thinned cumulative-regret trace; empty when the trace is disabled."""
-        if self.trace_stride == 0 or self.num_pulls == 0:
+        """Thinned cumulative-regret trace; empty when the trace is disabled.
+
+        The last point is ``(num_pulls, total)``.  On the stride grid, its
+        segment would give the same bits: ``total + count * value``, or
+        the last partial sum, is what the record added to ``total``.
+        """
+        stride, num_pulls = self.trace_stride, self.num_pulls
+        if stride == 0 or num_pulls == 0:
             return np.zeros(0, dtype=int), np.zeros(0)
-        ts = np.concatenate(self._trace_t) if self._trace_t else np.zeros(0, dtype=int)
-        cums = np.concatenate(self._trace_cum) if self._trace_cum else np.zeros(0)
-        if ts.size == 0 or ts[-1] != self.num_pulls:
-            ts = np.append(ts, self.num_pulls)
-            cums = np.append(cums, self.total)
-        return ts.astype(int), cums
+        size = -(-num_pulls // stride)  # grid points, plus num_pulls when off the grid
+        ts = np.arange(stride, size * stride + 1, stride, dtype=int)
+        ts[-1] = num_pulls
+        cums = np.empty(size)
+        for pulls, count, total, value in self._segments:
+            a, b = pulls // stride, (pulls + count) // stride
+            if isinstance(value, np.ndarray):
+                np.add(total, value, out=cums[a:b])
+            else:
+                np.add(total, (ts[a:b] - pulls) * value, out=cums[a:b])
+        cums[-1] = self.total
+        return ts, cums

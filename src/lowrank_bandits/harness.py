@@ -35,13 +35,14 @@ import multiprocessing as mp
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import run_e2tc, run_independent_etc
-from .env import InstanceSpec, generate_instance
+from .env import InstanceSpec, RegretLedger, generate_instance
 from .errors import ConfigError, require_finite, require_int
 from .lll import LllConfig, check_options, run_lll
 from .mtrl import MtrlConfig, run_mtrl
@@ -168,8 +169,9 @@ def replicate_seed_sequences(
 class RunRecord:
     """Everything one replicate produced.
 
-    ``wall_seconds`` is kept in memory only; it never enters output files
-    (they must be byte-identical across reruns of the same config).
+    ``wall_seconds`` is the time the replicate's algorithm ran, in its
+    worker.  It is kept in memory only; it never enters output files (they
+    must be byte-identical across reruns of the same config).
     """
 
     algorithm: str
@@ -191,7 +193,13 @@ class RunRecord:
     wall_seconds: float = 0.0
 
 
-def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
+def _run_single(config: ExperimentConfig, index: int) -> tuple[RegretLedger, dict, float]:
+    """Run replicate ``index``: its ledger, its lll fields and its wall seconds.
+
+    This is what a pool worker sends back.  The ledger holds its trace as
+    segments, so the result grows with the number of records, not with
+    pulls ÷ ``trace_stride``; ``_record`` expands it in the parent.
+    """
     instance_ss, policy_ss = replicate_seed_sequences(config.master_seed, index)
     instance = generate_instance(config.instance_spec(), np.random.default_rng(instance_ss))
     rng = np.random.default_rng(policy_ss)
@@ -224,7 +232,14 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
         )
     else:  # pragma: no cover - validate() rules this out
         raise ConfigError(f"algorithm: unknown {config.algorithm!r}")
+    return ledger, lll_fields, time.perf_counter() - started
 
+
+def _record(
+    config: ExperimentConfig, index: int, result: tuple[RegretLedger, dict, float]
+) -> RunRecord:
+    """Build replicate ``index``'s record from what ``_run_single`` returned."""
+    ledger, lll_fields, wall_seconds = result
     ts, cums = ledger.trace()
     if ts.size == 0:  # trace disabled: keep the final point so curves are never empty
         ts = np.array([ledger.num_pulls], dtype=int)
@@ -240,7 +255,7 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
         final_regret=float(ledger.total),
         trace_t=ts,
         trace_regret=cums,
-        wall_seconds=time.perf_counter() - started,
+        wall_seconds=wall_seconds,
         **lll_fields,
     )
 
@@ -272,13 +287,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     config.validate()
     workers = _worker_count(config.num_seeds)
     indices = range(config.num_seeds)
-    if workers <= 1:
-        records = [_run_single(config, i) for i in indices]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp.get_context("fork")
-        ) as pool:
-            records = list(pool.map(_run_single, [config] * config.num_seeds, indices))
+    pool = (
+        ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork"))
+        if workers > 1
+        else nullcontext()
+    )
+    with pool as executor:
+        run_all = map if executor is None else executor.map
+        results = run_all(_run_single, [config] * config.num_seeds, indices)
+        records = [_record(config, i, result) for i, result in zip(indices, results)]
 
     written: list[Path] = []
     if config.out_dir is not None:
@@ -473,10 +490,17 @@ def _curves_csv_text(records: list[RunRecord]) -> str:
 
 
 def _curves_json_text(records: list[RunRecord]) -> str:
-    """The curves CSV rows as objects of their field strings (no field holds a comma)."""
+    """The curves CSV rows as objects of their field strings, laid out as
+    ``json.dumps(rows, indent=2)`` lays them out.
+
+    The fields are algorithm names, integers and ``.17g`` floats: none
+    holds a comma, and none needs JSON escaping.
+    """
     rows = _curves_csv_text(records).splitlines()[1:]
-    objects = [dict(zip(CURVES_HEADER, row.split(","))) for row in rows]
-    return json.dumps(objects, indent=2) + "\n"
+    if not rows:
+        return "[]\n"
+    template = "  {\n" + ",\n".join(f'    "{name}": "%s"' for name in CURVES_HEADER) + "\n  }"
+    return "[\n" + ",\n".join([template % tuple(row.split(",")) for row in rows]) + "\n]\n"
 
 
 def _per_task_csv_text(records: list[RunRecord]) -> str:

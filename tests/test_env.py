@@ -291,6 +291,118 @@ class TestRegretLedger:
         assert cums[-1] == pytest.approx(ledger.total)
 
 
+class TestTraceSegments:
+    """``trace`` expands the per-record segments to exactly today's points."""
+
+    @staticmethod
+    def reference(events, stride):
+        """Each record's checkpoints and values by the record-time formulas."""
+        pulls, total, ts, cums = 0, 0.0, [], []
+        for kind, payload in events:
+            if kind == "block":
+                _, value, count = payload
+                steps = np.arange((pulls // stride + 1) * stride, pulls + count + 1, stride)
+                ts.append(steps)
+                cums.append(total + (steps - pulls) * value)
+                total += value * count
+            else:
+                regrets, repeat = payload
+                sequence = np.repeat(regrets, repeat, axis=1).T.ravel()
+                count = sequence.size
+                if count == 0:
+                    continue
+                steps = np.arange((pulls // stride + 1) * stride, pulls + count + 1, stride)
+                partial = np.cumsum(sequence)
+                ts.append(steps)
+                cums.append(total + partial[steps - pulls - 1])
+                total += float(partial[-1])
+            pulls += count
+        ts = np.concatenate(ts) if ts else np.zeros(0, dtype=int)
+        cums = np.concatenate(cums) if cums else np.zeros(0)
+        if pulls and (ts.size == 0 or ts[-1] != pulls):
+            ts, cums = np.append(ts, pulls), np.append(cums, total)
+        return ts, cums, total
+
+    EVENTS = {
+        # blocks shorter than the stride: no grid point inside any of them
+        "short_blocks": [("block", (0, 0.3, 3)), ("block", (1, 0.7, 4)), ("block", (2, 1.9, 2))],
+        "short_then_crossing": [
+            ("block", (0, 0.3, 3)),
+            ("block", (1, 0.7, 4)),
+            ("block", (2, 1.1, 5)),
+            ("block", (0, 0.45, 1)),
+        ],
+        # blocks that end on the grid, so num_pulls is a multiple of the stride
+        "on_the_grid": [("block", (0, 0.1 + 0.2, 10)), ("block", (1, 1.5, 10)), ("block", (2, 2.0, 30))],
+        "one_long_block": [("block", (1, 0.123456789, 1003))],
+        "mixed": [
+            ("block", (2, 0.3, 7)),
+            ("interleaved", ("uniform", 4, 1)),
+            ("block", (0, 0.9, 1)),
+            ("interleaved", ("uniform", 1, 17)),
+            ("block", (1, 1e-300, 26)),
+            ("interleaved", ("uniform", 0, 5)),
+            ("interleaved", ("uniform", 3, 2)),
+            ("block", (0, 1.75, 11)),
+        ],
+        "interleaved_only": [("interleaved", ("uniform", 5, 3)), ("interleaved", ("uniform", 1, 10))],
+    }
+
+    @pytest.mark.parametrize("stride", [0, 1, 3, 10, 17, 1000])
+    @pytest.mark.parametrize("name", sorted(EVENTS))
+    def test_matches_the_record_time_formulas(self, name, stride):
+        rng = np.random.default_rng(17)
+        events = []
+        for kind, payload in self.EVENTS[name]:
+            if kind == "interleaved":
+                _, columns, repeat = payload
+                payload = (rng.uniform(0, 2, size=(3, columns)), repeat)
+            events.append((kind, payload))
+        ledger = RegretLedger(3, stride)
+        for kind, payload in events:
+            if kind == "block":
+                ledger.record_block(*payload)
+            else:
+                ledger.record_interleaved(*payload)
+        got_t, got_c = ledger.trace()
+        if stride == 0:
+            assert got_t.size == 0 and got_c.size == 0
+            return
+        ts, cums, total = self.reference(events, stride)
+        assert ledger.total == total
+        assert got_t.dtype == ts.dtype
+        assert np.array_equal(got_t, ts)
+        assert np.array_equal(got_c, cums)
+
+    def test_grid_placement(self):
+        ledger = RegretLedger(1, trace_stride=10)
+        ledger.record_block(0, 1.0, 3)
+        ledger.record_block(0, 1.0, 4)
+        assert np.array_equal(ledger.trace()[0], [7])  # no grid point yet: the final pull only
+        ledger.record_block(0, 1.0, 13)
+        assert np.array_equal(ledger.trace()[0], [10, 20])  # on the grid: no extra point
+        ledger.record_block(0, 1.0, 1)
+        assert np.array_equal(ledger.trace()[0], [10, 20, 21])
+
+    def test_block_record_is_constant_size(self):
+        ledger = RegretLedger(1, trace_stride=1)
+        tracemalloc.start()
+        try:
+            ledger.record_block(0, 0.5, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10  # the 2**20 trace points alone are 16 MB
+        ts, cums = ledger.trace()
+        assert ts.size == 1 << 20 and cums[-1] == ledger.total
+
+    def test_in_range_values_are_not_copied(self):
+        values = np.random.default_rng(5).uniform(0, 2, size=(4, 6))
+        assert RegretLedger._validated(values) is values
+        slack = np.array([-1e-12, 0.5, 2.0 + 1e-12])
+        assert np.array_equal(RegretLedger._validated(slack), [0.0, 0.5, 2.0])
+
+
 class TestRecordInterleavedBlock:
     """``record_interleaved`` with ``repeat``: a matrix whose columns each repeat."""
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import stat
 from types import SimpleNamespace
 
@@ -64,6 +65,43 @@ class TestRunExperiment:
         run_experiment(small_config(algorithm="independent", num_seeds=4, out_dir=str(out_b)))
         assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    def test_worker_count_does_not_change_pure_exploration(self, tmp_path, monkeypatch):
+        runs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+            out = tmp_path / f"w{workers}"
+            config = small_config(
+                algorithm="lll", mode="pure_exploration", epsilon=0.3, num_seeds=3,
+                out_dir=str(out),
+            )
+            records, _ = run_experiment(config)
+            files = {name: (out / name).read_bytes() for name in (
+                "curves.csv", "per_task.csv", "summary.json",
+            )}
+            runs[workers] = records, files
+        (serial, serial_files), (pooled, pooled_files) = runs["1"], runs["2"]
+        assert serial_files == pooled_files
+        for a, b in zip(serial, pooled, strict=True):
+            assert float(a.final_regret).hex() == float(b.final_regret).hex()
+            for name in ("trace_t", "trace_regret", "per_task_regret", "entered_stage2",
+                         "width_after", "samples_used"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert (a.width_final, a.sample_total) == (b.width_final, b.sample_total)
+
+    def test_worker_result_does_not_grow_with_pulls(self):
+        """A pool worker sends the ledger's segments, not its expanded trace."""
+        sizes, totals = [], []
+        for horizon, epsilon in ((400, 0.3), (4000, 0.3), (400, 0.15)):
+            config = small_config(
+                algorithm="lll", mode="pure_exploration", epsilon=epsilon, horizon=horizon
+            )
+            result = harness._run_single(config, 0)
+            sizes.append(len(pickle.dumps(result)))
+            totals.append(result[1]["sample_total"])
+        assert totals[2] > 3 * totals[0]  # a smaller epsilon: about 4x the pulls
+        # At stride 25, the expanded trace of these runs is 60-240 KB.
+        assert max(sizes) < 8 * 2**10, sizes
 
     def test_trace_ends_at_total_pulls(self):
         records, _ = run_experiment(small_config(algorithm="mtrl"))
@@ -240,6 +278,20 @@ class TestRoundTrip:
             for task in range(r.num_tasks)
         ]
         assert harness._per_task_csv_text(records) == csv_text(harness.PER_TASK_HEADER, rows)
+
+
+    def test_curves_json_is_the_json_dumps_bytes(self):
+        def reference(records):
+            rows = list(csv.reader(io.StringIO(harness._curves_csv_text(records))))[1:]
+            objects = [dict(zip(harness.CURVES_HEADER, row)) for row in rows]
+            return json.dumps(objects, indent=2) + "\n"
+
+        mtrl, _ = run_experiment(small_config(algorithm="mtrl", noise_std=0.5))
+        lll, _ = run_experiment(
+            small_config(algorithm="lll", mode="pure_exploration", epsilon=0.3, trace_stride=7)
+        )
+        for records in ([], mtrl[:1], mtrl, lll):
+            assert harness._curves_json_text(records) == reference(records)
 
 
 class TestSummarize:
