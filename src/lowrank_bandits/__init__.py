@@ -17,7 +17,6 @@ from .errors import (
     SingularDesignError,
 )
 from .mtrl import (
-    MtrlConfig,
     MtrlDiagnostics,
     collect_stage1_samples,
     moment_estimate_theta,
@@ -57,7 +56,6 @@ __all__ = [
     "InstanceSpec",
     "LllConfig",
     "LllState",
-    "MtrlConfig",
     "MtrlDiagnostics",
     "RegretLedger",
     "RunRecord",

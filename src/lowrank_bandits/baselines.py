@@ -16,12 +16,11 @@ import numpy as np
 from .env import BanditInstance, RegretLedger
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .env import instant_regret  # noqa: F401
-from .errors import ConfigError
 from .mtrl import (
-    MtrlConfig,
     MtrlDiagnostics,
     collect_stage1_samples,
     _oracle_theta_matrix,
+    _require_noiseless,
     _run_three_stage,
     moment_estimate_theta,
     stage3_commit,
@@ -77,18 +76,11 @@ def _squared_subspace(
 
 def run_e2tc(
     instance: BanditInstance,
-    config: MtrlConfig | None = None,
     rng: np.random.Generator | None = None,
     trace_stride: int = 0,
 ) -> tuple[RegretLedger, MtrlDiagnostics]:
     """Three-stage run with the squared-covariance Stage-1 estimator."""
-    config = config or MtrlConfig()
-    if config.noiseless_oracle:
-        raise ConfigError(
-            "noiseless_oracle: applies to the rectangular estimator, not e2tc"
-        )
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return _run_three_stage(instance, config, rng, trace_stride, _squared_subspace)
+    return _run_three_stage(instance, rng, trace_stride, _squared_subspace)
 
 
 def independent_exploration_budget(dim: int, horizon: int) -> int:
@@ -103,8 +95,8 @@ def independent_exploration_budget(dim: int, horizon: int) -> int:
 def run_independent_etc(
     instance: BanditInstance,
     rng: np.random.Generator | None = None,
-    noiseless_oracle: bool = False,
     trace_stride: int = 0,
+    noiseless_oracle: bool = False,
 ) -> RegretLedger:
     """Explore-then-commit on every task independently; no shared structure.
 
@@ -114,8 +106,8 @@ def run_independent_etc(
     Issues exactly ``num_tasks * horizon`` pulls.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    if noiseless_oracle and instance.noise_std != 0:
-        raise ConfigError("noiseless_oracle: requires noise_std == 0")
+    if noiseless_oracle:
+        _require_noiseless(instance)
     num_tasks, dim, horizon = instance.num_tasks, instance.dim, instance.horizon
     explore = independent_exploration_budget(dim, horizon)
     ledger = RegretLedger(num_tasks, trace_stride)

@@ -145,7 +145,7 @@ def _mean_rewards(
     if actions.shape[-1] != instance.dim:
         raise ValueError(f"action dimension {actions.shape[-1]} != {instance.dim}")
     worst = float(np.max(np.linalg.norm(actions, axis=-1), initial=0.0))
-    if worst > 1.0 + ACTION_NORM_ATOL:
+    if not worst <= 1.0 + ACTION_NORM_ATOL:  # written so that NaN fails too
         raise InfeasibleActionError(f"action norm {worst} exceeds the unit ball")
     return actions @ instance.thetas[:, task]
 
@@ -245,7 +245,7 @@ class RegretLedger:
         if values.size:
             lo = float(values.min())
             hi = float(values.max())
-            if lo < -REGRET_SLACK or hi > 2.0 + REGRET_SLACK:
+            if not (lo >= -REGRET_SLACK and hi <= 2.0 + REGRET_SLACK):  # NaN fails too
                 raise ValueError(f"regret outside [0, 2]: range [{lo}, {hi}]")
             if lo >= 0.0 and hi <= 2.0:  # in range: skip the copy np.clip makes
                 return values

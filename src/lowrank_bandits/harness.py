@@ -45,7 +45,7 @@ from .baselines import run_e2tc, run_independent_etc
 from .env import InstanceSpec, RegretLedger, generate_instance
 from .errors import ConfigError, require_finite, require_int
 from .lll import LllConfig, check_options, run_lll
-from .mtrl import MtrlConfig, run_mtrl
+from .mtrl import run_mtrl
 
 ALGORITHMS = ("mtrl", "e2tc", "independent", "lll")
 OUTPUT_FORMATS = ("csv", "json")
@@ -207,16 +207,12 @@ def _run_single(config: ExperimentConfig, index: int) -> tuple[RegretLedger, dic
 
     lll_fields = {}
     if config.algorithm == "mtrl":
-        mtrl_config = MtrlConfig(noiseless_oracle=config.noiseless_oracle)
-        ledger, _ = run_mtrl(instance, mtrl_config, rng, config.trace_stride)
+        ledger, _ = run_mtrl(instance, rng, config.trace_stride, config.noiseless_oracle)
     elif config.algorithm == "e2tc":
-        ledger, _ = run_e2tc(instance, MtrlConfig(), rng, config.trace_stride)
+        ledger, _ = run_e2tc(instance, rng, config.trace_stride)
     elif config.algorithm == "independent":
         ledger = run_independent_etc(
-            instance,
-            rng,
-            noiseless_oracle=config.noiseless_oracle,
-            trace_stride=config.trace_stride,
+            instance, rng, config.trace_stride, config.noiseless_oracle
         )
     elif config.algorithm == "lll":
         state, ledger, sample_total = run_lll(
@@ -419,7 +415,7 @@ def compare(
             "k": anchor.rep_dim,
             "M": anchor.num_tasks,
             "T": anchor.horizon,
-            "noise_std": anchor.noise_std,
+            "noise_std": float(anchor.noise_std),
         },
         "n_seeds": n,
         "master_seed": anchor.master_seed,
@@ -528,7 +524,7 @@ def _summary_json_text(config: ExperimentConfig, records: list[RunRecord]) -> st
             "k": config.rep_dim,
             "M": config.num_tasks,
             "T": config.horizon,
-            "noise_std": config.noise_std,
+            "noise_std": float(config.noise_std),
             "epsilon": config.epsilon,
             "delta": config.delta,
             "mode": config.mode,

@@ -37,54 +37,20 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class MtrlConfig:
-    """Budget overrides and test hooks; defaults follow the budget formulas.
-
-    ``noiseless_oracle`` replaces the Stage-1 moment estimator with exact
-    per-task least squares over the Stage-1 actions.  It requires
-    ``noise_std == 0`` and ``t1 >= dim`` and exists to provide a
-    deterministic exact-recovery regression path; the default path always
-    uses the moment estimator.
-    """
-
-    t1_override: int | None = None
-    t2_override: int | None = None
-    noiseless_oracle: bool = False
-
-
 def resolve_budgets(
-    dim: int,
-    rep_dim: int,
-    num_tasks: int,
-    horizon: int,
-    config: MtrlConfig | None = None,
+    dim: int, rep_dim: int, num_tasks: int, horizon: int
 ) -> tuple[int, int, int]:
     """Stage budgets ``(t1, t2, block)``.
 
-    Defaults: ``t1 = ceil(dim * sqrt(rep_dim * horizon / num_tasks))`` and
+    ``t1 = ceil(dim * sqrt(rep_dim * horizon / num_tasks))`` and
     ``block = ceil(sqrt(horizon))`` with ``t2 = rep_dim * block``.  Defining
     ``t2`` through an integer per-column block keeps Stage 2's per-column
     budgets equal while preserving the ``rep_dim * sqrt(horizon)`` rate.
     Too-short horizons are a hard error: silently clamping budgets would
     distort regret comparisons.
     """
-    config = config or MtrlConfig()
-    if config.t1_override is not None:
-        if config.t1_override < 1:
-            raise ConfigError(f"t1_override: must be >= 1, got {config.t1_override}")
-        t1 = int(config.t1_override)
-    else:
-        t1 = math.ceil(dim * math.sqrt(rep_dim * horizon / num_tasks))
-    if config.t2_override is not None:
-        if config.t2_override < rep_dim or config.t2_override % rep_dim:
-            raise ConfigError(
-                f"t2_override: must be a positive multiple of rep_dim={rep_dim}, "
-                f"got {config.t2_override}"
-            )
-        block = config.t2_override // rep_dim
-    else:
-        block = math.ceil(math.sqrt(horizon))
+    t1 = math.ceil(dim * math.sqrt(rep_dim * horizon / num_tasks))
+    block = math.ceil(math.sqrt(horizon))
     t2 = rep_dim * block
     if t1 + t2 > horizon:
         raise HorizonTooShortError(
@@ -143,6 +109,11 @@ def _rectangular_subspace(
     return theta_hat, top_k_left_singular_vectors(theta_hat, rep_dim)
 
 
+def _require_noiseless(instance: BanditInstance) -> None:
+    if instance.noise_std != 0:
+        raise ConfigError("noiseless_oracle: requires noise_std == 0")
+
+
 def _oracle_theta_matrix(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
     """Exact per-task least squares over Stage-1 actions (noiseless runs only)."""
     num_tasks, t1, dim = actions.shape
@@ -158,10 +129,16 @@ def _oracle_theta_matrix(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray
     return theta_hat
 
 
+def _oracle_subspace(
+    actions: np.ndarray, rewards: np.ndarray, rep_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    theta_hat = _oracle_theta_matrix(actions, rewards)
+    return theta_hat, top_k_left_singular_vectors(theta_hat, rep_dim)
+
+
 def stage2_per_task(
     instance: BanditInstance,
     basis_hat: np.ndarray,
-    t2: int,
     block: int,
     rng: np.random.Generator,
     ledger: RegretLedger,
@@ -169,15 +146,15 @@ def stage2_per_task(
     """Stage 2: play each basis column ``block`` times per task, solve least squares.
 
     Returns the ``(width, num_tasks)`` weight estimates and records
-    ``num_tasks * t2`` pulls.
+    ``num_tasks * width * block`` pulls.
     """
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     width = basis_hat.shape[1]
-    if block < 1 or t2 != width * block:
-        raise ValueError(f"t2={t2} must equal width*block = {width}*{block}")
     actions = np.repeat(basis_hat.T, block, axis=0)  # column i for block steps, in order
     num_tasks = instance.num_tasks
     weights_hat = np.empty((width, num_tasks))
-    regrets = np.empty((num_tasks, t2))
+    regrets = np.empty((num_tasks, width * block))
     for task in range(num_tasks):
         rewards = pull_many(instance, task, actions, rng)
         weights_hat[:, task] = least_squares_on_subspace(actions, rewards, basis_hat)
@@ -226,28 +203,22 @@ class MtrlDiagnostics:
 
 def _run_three_stage(
     instance: BanditInstance,
-    config: MtrlConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     trace_stride: int,
     subspace_estimator: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray | None, np.ndarray]],
 ) -> tuple[RegretLedger, MtrlDiagnostics]:
     """Shared skeleton: Stage 1 with a pluggable subspace estimator, then 2 and 3."""
+    rng = rng if rng is not None else np.random.default_rng(0)
     t1, t2, block = resolve_budgets(
-        instance.dim, instance.rep_dim, instance.num_tasks, instance.horizon, config
+        instance.dim, instance.rep_dim, instance.num_tasks, instance.horizon
     )
     ledger = RegretLedger(instance.num_tasks, trace_stride)
-    if config.noiseless_oracle and instance.noise_std != 0:
-        raise ConfigError("noiseless_oracle: requires noise_std == 0")
 
     actions, rewards = collect_stage1_samples(instance, t1, rng, ledger)
-    if config.noiseless_oracle:
-        theta_hat = _oracle_theta_matrix(actions, rewards)
-        basis_hat = top_k_left_singular_vectors(theta_hat, instance.rep_dim)
-    else:
-        theta_hat, basis_hat = subspace_estimator(actions, rewards, instance.rep_dim)
+    theta_hat, basis_hat = subspace_estimator(actions, rewards, instance.rep_dim)
     stage1_regret = ledger.total
 
-    weights_hat = stage2_per_task(instance, basis_hat, t2, block, rng, ledger)
+    weights_hat = stage2_per_task(instance, basis_hat, block, rng, ledger)
     stage2_regret = ledger.total - stage1_regret
 
     committed = basis_hat @ weights_hat
@@ -269,14 +240,20 @@ def _run_three_stage(
 
 def run_mtrl(
     instance: BanditInstance,
-    config: MtrlConfig | None = None,
     rng: np.random.Generator | None = None,
     trace_stride: int = 0,
+    noiseless_oracle: bool = False,
 ) -> tuple[RegretLedger, MtrlDiagnostics]:
     """Full three-stage run with the rectangular moment + SVD estimator.
 
     Issues and accounts exactly ``num_tasks * horizon`` pulls.
+    ``noiseless_oracle`` replaces the Stage-1 moment estimator with exact
+    per-task least squares over the Stage-1 actions.  It requires
+    ``noise_std == 0`` and ``t1 >= dim`` and exists to provide a
+    deterministic exact-recovery regression path; the default path always
+    uses the moment estimator.
     """
-    config = config or MtrlConfig()
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return _run_three_stage(instance, config, rng, trace_stride, _rectangular_subspace)
+    if noiseless_oracle:
+        _require_noiseless(instance)
+    estimator = _oracle_subspace if noiseless_oracle else _rectangular_subspace
+    return _run_three_stage(instance, rng, trace_stride, estimator)

@@ -26,7 +26,6 @@ from lowrank_bandits.linalg import (
 )
 from lowrank_bandits.lll import LllConfig, run_lll
 from lowrank_bandits.mtrl import (
-    MtrlConfig,
     collect_stage1_samples,
     moment_estimate_theta,
     moment_theta_matrix,
@@ -295,9 +294,7 @@ def test_criterion_8_noiseless_exactness():
     # multi-task: exact least-squares oracle over stage-1 actions
     spec_m = InstanceSpec(10, 2, 25, 10_000, 0.0, seed=7)
     instance_m = generate_instance(spec_m)
-    _, diagnostics = run_mtrl(
-        instance_m, MtrlConfig(noiseless_oracle=True), np.random.default_rng(3)
-    )
+    _, diagnostics = run_mtrl(instance_m, np.random.default_rng(3), noiseless_oracle=True)
     mtrl_ok = diagnostics.stage3_regret <= 1e-6
     passed = lll_ok and mtrl_ok
     report(

@@ -11,7 +11,6 @@ from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance
 from lowrank_bandits.errors import ConfigError
 from lowrank_bandits.linalg import is_orthonormal, subspace_distance
 from lowrank_bandits.mtrl import (
-    MtrlConfig,
     collect_stage1_samples,
     resolve_budgets,
     run_mtrl,
@@ -108,8 +107,8 @@ class TestRunE2tc:
 
     def test_noiseless_oracle_not_supported(self):
         inst = make_instance(noise_std=0.0, seed=8)
-        with pytest.raises(ConfigError):
-            run_e2tc(inst, MtrlConfig(noiseless_oracle=True), np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            run_e2tc(inst, np.random.default_rng(0), noiseless_oracle=True)
 
 
 class TestIndependentBaseline:

@@ -187,13 +187,14 @@ class TestOracleBoundary:
             ("task num_tasks", ValueError),
             ("wrong dimension", ValueError),
             ("norm 1.5", InfeasibleActionError),
+            ("nan", InfeasibleActionError),
         ],
     )
     @pytest.mark.parametrize("oracle", sorted(ORACLES))
     def test_bad_input_rejected(self, oracle, case, error):
         inst = small_instance()
         dim = inst.dim + 1 if case == "wrong dimension" else inst.dim
-        action = np.eye(dim)[0] * (1.5 if case == "norm 1.5" else 1.0)
+        action = np.eye(dim)[0] * {"norm 1.5": 1.5, "nan": np.nan}.get(case, 1.0)  # nan: all NaN
         task = {"task -1": -1, "task num_tasks": inst.num_tasks}.get(case, 0)
         if oracle in BATCH_ORACLES:  # the bad row behind a good one
             action = np.vstack([np.zeros(dim), action])
@@ -270,6 +271,11 @@ class TestRegretLedger:
             ledger.record_block(0, -0.2, 1)
         with pytest.raises(ValueError):
             ledger.record_interleaved(np.array([[0.5, 2.5]]))
+        with pytest.raises(ValueError):
+            ledger.record_block(0, np.nan, 5)
+        with pytest.raises(ValueError):
+            ledger.record_interleaved(np.array([[0.5, np.nan, 1.0]]))
+        assert ledger.num_pulls == 0 and ledger.total == 0.0
 
     def test_roundoff_slack_clipped(self):
         ledger = RegretLedger(1, 0)
@@ -510,7 +516,9 @@ class TestRecordInterleavedBlock:
             ledger.record_interleaved(np.array([[0.5], [2.5]]), 3)
         with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
             ledger.record_interleaved(np.array([[-0.2], [0.5]]), 3)
-        assert ledger.num_pulls == 0
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            ledger.record_interleaved(np.array([[0.5], [np.nan]]), 3)
+        assert ledger.num_pulls == 0 and ledger.total == 0.0
 
     def test_wrong_shape_rejected(self):
         ledger = RegretLedger(3, 0)

@@ -420,6 +420,25 @@ class TestCli:
         parsed = read_curves_csv(out / "curves.csv")
         assert {r.seed_index for r in parsed} == {0, 1}  # flag overrode the file
 
+    @pytest.mark.parametrize(
+        "command,written", [("mtrl", "summary.json"), ("compare", "comparison.json")]
+    )
+    def test_noise_std_spelling_does_not_change_the_bytes(
+        self, tmp_path, capsys, command, written
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"d": 6, "k": 2, "M": 5, "T": 400, "noise_std": 1}))
+        from_file, from_flag = tmp_path / "from_file", tmp_path / "from_flag"
+        assert self.run_cli(
+            command, "--config", str(config_path), "--seeds", "2", "--out-dir", str(from_file)
+        ) == 0
+        assert self.run_cli(
+            command, "--d", "6", "--k", "2", "--M", "5", "--T", "400", "--noise-std", "1",
+            "--seeds", "2", "--out-dir", str(from_flag),
+        ) == 0
+        assert (from_file / written).read_bytes() == (from_flag / written).read_bytes()
+        assert '"noise_std": 1.0' in (from_file / written).read_text()
+
     def test_error_exit_code_and_message(self, capsys):
         code = self.run_cli("mtrl", "--d", "0")
         assert code == 2
@@ -525,6 +544,11 @@ class TestCli:
             (["mtrl", "--bogus", "1"], "unrecognized arguments"),
             (["bogus"], "argument command: invalid choice"),
             ([], "the following arguments are required: command"),
+            (["e2tc", "--noiseless-oracle", "--noise-std", "0"],
+             "noiseless_oracle: not supported for 'e2tc'"),
+            (["lll", "--mode", "regret", "--noiseless-oracle", "--noise-std", "0"],
+             "noiseless_oracle: not supported for 'lll'"),
+            (["mtrl", "--noiseless-oracle"], "noiseless_oracle: requires noise_std == 0"),
         ],
     )
     def test_bad_flags_give_one_json_line(self, capsys, args, message):

@@ -5,7 +5,6 @@ from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance
 from lowrank_bandits.errors import ConfigError, HorizonTooShortError
 from lowrank_bandits.linalg import subspace_distance, top_k_left_singular_vectors
 from lowrank_bandits.mtrl import (
-    MtrlConfig,
     collect_stage1_samples,
     moment_estimate_theta,
     moment_theta_matrix,
@@ -28,14 +27,6 @@ class TestResolveBudgets:
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShortError):
             resolve_budgets(10, 2, 2, 10)
-
-    def test_overrides(self):
-        t1, t2, block = resolve_budgets(10, 2, 25, 10_000, MtrlConfig(50, 60))
-        assert (t1, t2, block) == (50, 60, 30)
-        with pytest.raises(ConfigError, match="t2_override"):
-            resolve_budgets(10, 2, 25, 10_000, MtrlConfig(t2_override=61))
-        with pytest.raises(ConfigError, match="t1_override"):
-            resolve_budgets(10, 2, 25, 10_000, MtrlConfig(t1_override=0))
 
 
 class TestMomentEstimate:
@@ -99,7 +90,7 @@ class TestStage2:
     def test_noiseless_recovery_on_true_basis(self):
         inst = make_instance(noise_std=0.0, seed=7)
         ledger = RegretLedger(inst.num_tasks, 0)
-        weights = stage2_per_task(inst, inst.basis, 10, 5, np.random.default_rng(3), ledger)
+        weights = stage2_per_task(inst, inst.basis, 5, np.random.default_rng(3), ledger)
         assert np.max(np.abs(weights - inst.basis.T @ inst.thetas)) <= 1e-10
         assert ledger.num_pulls == inst.num_tasks * 10
 
@@ -107,10 +98,10 @@ class TestStage2:
         # orthonormal design: the general solver must equal per-column reward means
         inst = make_instance(noise_std=1.0, seed=8)
         basis = inst.basis
-        block, t2 = 6, 6 * inst.rep_dim
+        block = 6
         rng = np.random.default_rng(4)
         ledger = RegretLedger(inst.num_tasks, 0)
-        weights = stage2_per_task(inst, basis, t2, block, rng, ledger)
+        weights = stage2_per_task(inst, basis, block, rng, ledger)
         rng2 = np.random.default_rng(4)
         from lowrank_bandits.env import pull_many
 
@@ -120,10 +111,17 @@ class TestStage2:
             means = rewards.reshape(inst.rep_dim, block).mean(axis=1)
             assert np.max(np.abs(weights[:, task] - means)) <= 1e-10
 
+    def test_block_below_one_rejected(self):
+        inst = make_instance(seed=7)
+        ledger = RegretLedger(inst.num_tasks, 0)
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            stage2_per_task(inst, inst.basis, 0, np.random.default_rng(0), ledger)
+        assert ledger.num_pulls == 0
+
     def test_exact_chain_zero_stage3_regret(self):
         inst = make_instance(noise_std=0.0, seed=9)
         ledger = RegretLedger(inst.num_tasks, 0)
-        weights = stage2_per_task(inst, inst.basis, 10, 5, np.random.default_rng(5), ledger)
+        weights = stage2_per_task(inst, inst.basis, 5, np.random.default_rng(5), ledger)
         before = ledger.total
         stage3_commit(inst, inst.basis @ weights, 100, ledger)
         assert ledger.total - before <= 1e-9
@@ -185,16 +183,14 @@ class TestRunMtrl:
 
     def test_noiseless_oracle_mode_exact(self):
         inst = make_instance(noise_std=0.0, seed=16, horizon=2000, num_tasks=8)
-        ledger, diag = run_mtrl(
-            inst, MtrlConfig(noiseless_oracle=True), np.random.default_rng(10)
-        )
+        ledger, diag = run_mtrl(inst, np.random.default_rng(10), noiseless_oracle=True)
         assert diag.stage3_regret <= 1e-6
         assert diag.subspace_error <= 1e-8
 
     def test_oracle_mode_requires_noiseless(self):
         inst = make_instance(noise_std=1.0, seed=17, horizon=2000, num_tasks=8)
         with pytest.raises(ConfigError, match="noiseless_oracle"):
-            run_mtrl(inst, MtrlConfig(noiseless_oracle=True), np.random.default_rng(0))
+            run_mtrl(inst, np.random.default_rng(0), noiseless_oracle=True)
 
     def test_diagnostics_consistent(self):
         inst = make_instance(seed=18, horizon=2000, num_tasks=8)
