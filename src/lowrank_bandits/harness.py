@@ -19,12 +19,16 @@ Output files (schemas fixed):
 * summary: a structured JSON document.
 
 ``compare`` writes ``comparison.json`` instead of a summary, and each
-config's curves and per-task files with the suffix ``_<i>_<algo>``.
+config's curves and per-task files with the suffix ``_<i>_<algo>``.  The
+text of ``summary.json`` and ``comparison.json`` is exactly
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
 Floats are serialized with 17 significant digits so parsing a file
 reconstructs the exact binary64 values.  Files are written atomically
 (temp file + rename) and are byte-identical for identical configs
-regardless of worker count.
+regardless of worker count.  The worker count sets both how many
+processes run the replicates and how many write the files, one process
+per file at most.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import csv
 import json
 import multiprocessing as mp
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -256,7 +261,16 @@ def _record(
     )
 
 
-def _worker_count(num_seeds: int) -> int:
+def _pool(workers: int) -> ProcessPoolExecutor | nullcontext:
+    """``workers`` fork-started processes, or for one worker a null context,
+    under which the caller maps in process."""
+    if workers == 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork"))
+
+
+def _worker_count(limit: int) -> int:
+    """The worker count (``LOWRANK_BANDITS_WORKERS`` or the usable CPUs), at most ``limit``."""
     raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
     if raw:
         try:
@@ -271,7 +285,7 @@ def _worker_count(num_seeds: int) -> int:
         workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         workers = os.cpu_count() or 1
-    return min(workers, num_seeds)
+    return min(workers, limit)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path]]:
@@ -281,14 +295,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     worker count never affects results or output bytes.
     """
     config.validate()
-    workers = _worker_count(config.num_seeds)
     indices = range(config.num_seeds)
-    pool = (
-        ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork"))
-        if workers > 1
-        else nullcontext()
-    )
-    with pool as executor:
+    with _pool(_worker_count(config.num_seeds)) as executor:
         run_all = map if executor is None else executor.map
         results = run_all(_run_single, [config] * config.num_seeds, indices)
         records = [_record(config, i, result) for i, result in zip(indices, results)]
@@ -297,10 +305,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        written = _write_records(out_dir, "", config, records)
-        summary_path = out_dir / "summary.json"
-        _atomic_write(summary_path, _summary_json_text(config, records))
-        written.append(summary_path)
+        jobs = _record_jobs(out_dir, "", config, records)
+        jobs.append((out_dir / "summary.json", "_summary_json_text", (config, records)))
+        written = _write_files(jobs)
     return records, written
 
 
@@ -427,11 +434,10 @@ def compare(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / "comparison.json"
-        _atomic_write(path, json.dumps(table, indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        jobs = [(out / "comparison.json", "_json_text", (table,))]
         for idx, (cfg, records) in enumerate(zip(configs, all_records)):
-            written += _write_records(out, f"_{idx}_{cfg.algorithm}", cfg, records)
+            jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", cfg, records)
+        written = _write_files(jobs)
     return table, written
 
 
@@ -458,17 +464,33 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_records(
+def _record_jobs(
     out_dir: Path, suffix: str, config: ExperimentConfig, records: list[RunRecord]
-) -> list[Path]:
-    """Write the curves in ``config.output_format`` and, for lll, the per-task CSV."""
-    written = [out_dir / f"curves{suffix}.{config.output_format}"]
-    curves_text = _curves_csv_text if config.output_format == "csv" else _curves_json_text
-    _atomic_write(written[0], curves_text(records))
+) -> list[tuple[Path, str, tuple]]:
+    """Write jobs for the curves in ``config.output_format`` and, for lll, the per-task CSV."""
+    curves_text = "_curves_csv_text" if config.output_format == "csv" else "_curves_json_text"
+    jobs = [(out_dir / f"curves{suffix}.{config.output_format}", curves_text, (records,))]
     if config.algorithm == "lll":
-        written.append(out_dir / f"per_task{suffix}.csv")
-        _atomic_write(written[1], _per_task_csv_text(records))
-    return written
+        jobs.append((out_dir / f"per_task{suffix}.csv", "_per_task_csv_text", (records,)))
+    return jobs
+
+
+def _write_job(job: tuple[Path, str, tuple]) -> Path:
+    """Build one file's text with the builder named in ``job`` and write it."""
+    path, builder, args = job
+    _atomic_write(path, globals()[builder](*args))  # looked up now: perfbench wraps these
+    return path
+
+
+def _write_files(jobs: list[tuple[Path, str, tuple]]) -> list[Path]:
+    """Run the write jobs, one file each, on up to one process per file.
+
+    A job is ``(path, builder, args)``, where ``builder`` names a text
+    builder of this module.  The paths come back in job order.
+    """
+    with _pool(_worker_count(len(jobs))) as executor:
+        run_all = map if executor is None else executor.map
+        return list(run_all(_write_job, jobs))
 
 
 def _curves_csv_text(records: list[RunRecord]) -> str:
@@ -536,7 +558,39 @@ def _summary_json_text(config: ExperimentConfig, records: list[RunRecord]) -> st
         },
         "summary": summarize(records),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python, ~9 µs per number.
+    So every non-empty list or tuple of plain ``int`` and ``float`` values is
+    encoded by the C encoder and laid out one value per line, as ``indent=2``
+    lays it out; ``json.dumps`` lays out the rest around a placeholder string
+    for each such list.  A document whose text holds ``\\u0000`` other than
+    in the placeholders is encoded by ``json.dumps`` alone.
+    """
+    lists: list[str] = []
+
+    def swap(node, depth: int):
+        if isinstance(node, dict):
+            return {key: swap(value, depth + 1) for key, value in node.items()}
+        if isinstance(node, (list, tuple)):
+            if node and set(map(type, node)) <= {int, float}:
+                pad = "\n" + "  " * (depth + 1)
+                body = json.dumps(node)[1:-1].replace(", ", "," + pad)
+                lists.append(f"[{pad}{body}\n{'  ' * depth}]")
+                return f"\x00{len(lists) - 1}"  # json writes it as "\u0000<i>"
+            return [swap(value, depth + 1) for value in node]
+        return node
+
+    text = json.dumps(swap(doc, 0), indent=2, sort_keys=True)
+    if text.count("\\u0000") != len(lists):
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        text = re.sub(r'"\\u0000(\d+)"', lambda m: lists[int(m[1])], text)
+    return text + "\n"
 
 
 def read_curves_csv(path: str | Path) -> list[RunRecord]:

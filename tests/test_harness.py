@@ -156,15 +156,15 @@ class TestRunExperiment:
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert harness._worker_count(num_seeds=20) == 3
-        assert harness._worker_count(num_seeds=2) == 2
+        assert harness._worker_count(limit=20) == 3
+        assert harness._worker_count(limit=2) == 2
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert harness._worker_count(num_seeds=20) == 20
+        assert harness._worker_count(limit=20) == 20
         monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert harness._worker_count(num_seeds=20) == 5
+        assert harness._worker_count(limit=20) == 5
         monkeypatch.setenv(WORKERS_ENV_VAR, "five")
         with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
-            harness._worker_count(num_seeds=20)
+            harness._worker_count(limit=20)
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="algorithm"):
@@ -293,6 +293,38 @@ class TestRoundTrip:
         for records in ([], mtrl[:1], mtrl, lll):
             assert harness._curves_json_text(records) == reference(records)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": [], "b": [[]], "c": ()},
+            [[1, 2], [3.5, [4, [5.0]]], []],
+            {"grid": [[0.5, 1.5], [2, 3]], "outer": {"inner": {"deep": [1, 2, 3]}}},
+            {"bools": [True, 1, 2.0], "none": [None, 2.0], "only_bools": [False, True]},
+            [float("nan"), float("inf"), -float("inf"), -0.0, 1e-07, 1e16, 2**63 + 1, -(2**70)],
+            (1, 2.5, (3, 4.0)),
+            {"tuple": (0.1, 0.2), "np": [np.float64(0.1), 0.2], "np_only": [np.float64(3.0)]},
+            {"s": "\x001"},
+            {"s": "\x000", "l": [1, 2]},
+            {"\x000": [1.5]},
+            {"s": "\\u0000", "l": [1.0, 2.0]},
+            {1: [0.25], 2: "x"},
+            [1, 2],
+            2.5,
+            "text",
+            None,
+        ],
+    )
+    def test_json_text_is_the_json_dumps_bytes(self, doc):
+        assert harness._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_json_text_of_a_summary(self):
+        records, _ = run_experiment(small_config(algorithm="lll", mode="regret"))
+        doc = summarize(records)
+        assert isinstance(doc["lll"]["mean_per_task_curve"][0], float)
+        assert harness._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
 
 class TestSummarize:
     def fake_record(self, final, seed):
@@ -407,6 +439,50 @@ class TestCli:
             rows = json.loads((out / "curves_0_mtrl.json").read_text())
             assert {row["algo"] for row in rows} == {"mtrl"}
         assert len(read_per_task_csv(out / "per_task_1_lll.csv")) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_files_do_not_depend_on_the_worker_count(
+        self, tmp_path, capsys, monkeypatch, fmt
+    ):
+        runs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+            out = tmp_path / f"w{workers}"
+            code = self.run_cli(
+                "compare", "--algorithms", "mtrl,lll", "--mode", "pure_exploration",
+                "--epsilon", "0.3", "--d", "6", "--k", "2", "--M", "5", "--T", "400",
+                "--seeds", "3", "--format", fmt, "--out-dir", str(out),
+            )
+            assert code == 0
+            printed = capsys.readouterr().out.replace(str(out), "<out>")
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs[workers] = printed, files
+        (serial_out, serial_files), (pooled_out, pooled_files) = runs["1"], runs["2"]
+        names = ["comparison.json", f"curves_0_mtrl.{fmt}", f"curves_1_lll.{fmt}",
+                 "per_task_1_lll.csv"]
+        assert list(serial_files) == names
+        assert serial_files == pooled_files
+        assert serial_out == pooled_out
+        wrote = [line for line in serial_out.splitlines() if line.startswith("wrote ")]
+        assert wrote == [f"wrote <out>/{name}" for name in names]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_write_in_a_worker_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+        out = tmp_path / "cmp"
+        (out / "comparison.json").mkdir(parents=True)
+        code = self.run_cli(
+            "compare", "--algorithms", "mtrl,independent", "--d", "6", "--k", "2",
+            "--M", "5", "--T", "400", "--seeds", "2", "--out-dir", str(out),
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "IsADirectoryError"
+        assert "comparison.json" in err["message"]
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+        assert (out / "comparison.json").is_dir()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
