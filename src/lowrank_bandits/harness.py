@@ -28,7 +28,10 @@ reconstructs the exact binary64 values.  Files are written atomically
 (temp file + rename) and are byte-identical for identical configs
 regardless of worker count.  The worker count sets both how many
 processes run the replicates and how many write the files, one process
-per file at most.
+per file at most, once the files outside the largest one hold
+``POOL_WRITE_MIN_POINTS`` rows and curve points; smaller outputs are
+written in process.  When one file cannot be written the others still
+are, and the first error in file order is raised.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ import multiprocessing as mp
 import os
 import re
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -261,12 +265,15 @@ def _record(
     )
 
 
-def _pool(workers: int) -> ProcessPoolExecutor | nullcontext:
-    """``workers`` fork-started processes, or for one worker a null context,
-    under which the caller maps in process."""
+@contextmanager
+def _pool(workers: int):
+    """Yield a ``map`` that runs on ``workers`` fork-started processes, or
+    in process for one worker."""
     if workers == 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork"))
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork")) as executor:
+        yield executor.map
 
 
 def _worker_count(limit: int) -> int:
@@ -296,8 +303,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     """
     config.validate()
     indices = range(config.num_seeds)
-    with _pool(_worker_count(config.num_seeds)) as executor:
-        run_all = map if executor is None else executor.map
+    with _pool(_worker_count(config.num_seeds)) as run_all:
         results = run_all(_run_single, [config] * config.num_seeds, indices)
         records = [_record(config, i, result) for i, result in zip(indices, results)]
 
@@ -306,9 +312,18 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         jobs = _record_jobs(out_dir, "", config, records)
-        jobs.append((out_dir / "summary.json", "_summary_json_text", (config, records)))
+        points = _curve_points([records])
+        jobs.append((out_dir / "summary.json", _summary_json_text, (config, records), points))
         written = _write_files(jobs)
     return records, written
+
+
+def _shared_grid(records: list[RunRecord]) -> np.ndarray | None:
+    """The trace grid every record shares, or None when the grids differ."""
+    grids = [r.trace_t for r in records]
+    if all(np.array_equal(g, grids[0]) for g in grids[1:]):
+        return grids[0]
+    return None
 
 
 def summarize(records: list[RunRecord]) -> dict:
@@ -337,11 +352,11 @@ def summarize(records: list[RunRecord]) -> dict:
         },
     }
 
-    grids = [r.trace_t for r in records]
-    if all(np.array_equal(g, grids[0]) for g in grids[1:]):
+    grid = _shared_grid(records)
+    if grid is not None:
         stacked = np.vstack([r.trace_regret for r in records])
         out["mean_curve"] = {
-            "t": grids[0].tolist(),
+            "t": grid.tolist(),
             "regret": stacked.mean(axis=0).tolist(),
         }
     else:
@@ -434,7 +449,7 @@ def compare(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        jobs = [(out / "comparison.json", "_json_text", (table,))]
+        jobs = [(out / "comparison.json", _json_text, (table,), _curve_points(all_records))]
         for idx, (cfg, records) in enumerate(zip(configs, all_records)):
             jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", cfg, records)
         written = _write_files(jobs)
@@ -464,47 +479,84 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+# A write job is ``(path, builder, args, points)``: ``builder(*args)`` is the
+# file's text, and ``points`` counts the rows or curve points it holds, which
+# is what the text costs to build.
+WriteJob = tuple[Path, Callable[..., str], tuple, int]
+
+# The pool can only save the work outside the largest file.  A point's text
+# takes ~1.5 us and forking the pool 15-40 ms; measured on 2 CPUs, the pool
+# lost with 25k points outside the largest file and won with 50k.  Below
+# this many, the files are written in process.
+POOL_WRITE_MIN_POINTS = 40_000
+
+
+def _curve_points(record_sets: list[list[RunRecord]]) -> int:
+    """The points of the mean curves that ``summarize`` gives ``record_sets``."""
+    return sum(grid.size for grid in map(_shared_grid, record_sets) if grid is not None)
+
+
 def _record_jobs(
     out_dir: Path, suffix: str, config: ExperimentConfig, records: list[RunRecord]
-) -> list[tuple[Path, str, tuple]]:
-    """Write jobs for the curves in ``config.output_format`` and, for lll, the per-task CSV."""
-    curves_text = "_curves_csv_text" if config.output_format == "csv" else "_curves_json_text"
-    jobs = [(out_dir / f"curves{suffix}.{config.output_format}", curves_text, (records,))]
+) -> list[WriteJob]:
+    """Write jobs for the curves in ``config.output_format`` and, for lll, the
+    per-task CSV, whose job gets the records without their traces."""
+    curves_text = _curves_csv_text if config.output_format == "csv" else _curves_json_text
+    rows = sum(r.trace_t.size for r in records)
+    jobs = [(out_dir / f"curves{suffix}.{config.output_format}", curves_text, (records,), rows)]
     if config.algorithm == "lll":
-        jobs.append((out_dir / f"per_task{suffix}.csv", "_per_task_csv_text", (records,)))
+        untraced = [
+            replace(r, trace_t=np.zeros(0, dtype=int), trace_regret=np.zeros(0))
+            for r in records
+        ]
+        rows = sum(r.per_task_regret.size for r in records)
+        jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (untraced,), rows))
     return jobs
 
 
-def _write_job(job: tuple[Path, str, tuple]) -> Path:
-    """Build one file's text with the builder named in ``job`` and write it."""
-    path, builder, args = job
-    _atomic_write(path, globals()[builder](*args))  # looked up now: perfbench wraps these
+def _write_job(job: WriteJob) -> Path | OSError:
+    """Build one file's text and write it: its path, or the error that stopped the write."""
+    path, builder, args, _ = job
+    try:
+        _atomic_write(path, builder(*args))
+    except OSError as error:  # _write_files raises it once every job has run
+        return error
     return path
 
 
-def _write_files(jobs: list[tuple[Path, str, tuple]]) -> list[Path]:
-    """Run the write jobs, one file each, on up to one process per file.
+def _write_files(jobs: list[WriteJob]) -> list[Path]:
+    """Run every write job, one file each, on up to one process per file.
 
-    A job is ``(path, builder, args)``, where ``builder`` names a text
-    builder of this module.  The paths come back in job order.
+    The pool is used only when the files outside the largest one hold at
+    least ``POOL_WRITE_MIN_POINTS`` points.  Every job runs even when a
+    write fails, so the files a failed run leaves do not depend on the
+    worker count; the first ``OSError`` in job order is raised after.  The
+    paths come back in job order.
     """
-    with _pool(_worker_count(len(jobs))) as executor:
-        run_all = map if executor is None else executor.map
-        return list(run_all(_write_job, jobs))
+    points = sorted(job[3] for job in jobs)
+    workers = _worker_count(len(jobs)) if sum(points[:-1]) >= POOL_WRITE_MIN_POINTS else 1
+    with _pool(workers) as run_all:
+        results = list(run_all(_write_job, jobs))
+    for result in results:
+        if isinstance(result, OSError):
+            raise result
+    return results
 
 
 def _curves_csv_text(records: list[RunRecord]) -> str:
-    lines = [",".join(CURVES_HEADER) + "\n"]
+    chunks = [",".join(CURVES_HEADER) + "\n"]
     for r in records:
         prefix = (
             f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
             f"{fmt(r.noise_std)},{r.seed_index},"
         )
-        lines += [
+        # One string per record: its row strings are freed together, not
+        # kept until the whole file is joined.
+        chunks.append("".join([
             f"{prefix}{t},{c:.17g}\n"
             for t, c in zip(r.trace_t.tolist(), r.trace_regret.tolist())
-        ]
-    return "".join(lines)
+        ]))
+    return "".join(chunks)
 
 
 def _curves_json_text(records: list[RunRecord]) -> str:

@@ -166,6 +166,34 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
             harness._worker_count(limit=20)
 
+    def test_files_go_to_the_pool_only_past_the_point_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
+        pools = []
+        real_pool = harness._pool
+
+        def pool(workers):
+            pools.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(harness, "_pool", pool)
+        limit = harness.POOL_WRITE_MIN_POINTS
+        for points in ([10 * limit, limit - 1], [10 * limit, limit - 2, 1], [limit, limit],
+                       [limit // 2, limit, limit // 2, 3]):
+            jobs = [(tmp_path / f"f{i}", str, (i,), n) for i, n in enumerate(points)]
+            assert harness._write_files(jobs) == [job[0] for job in jobs]
+        assert pools == [1, 1, 2, 4]  # the points outside the largest file decide
+
+    def test_per_task_job_gets_no_traces(self, tmp_path):
+        config = small_config(algorithm="lll", mode="pure_exploration", epsilon=0.3)
+        records, _ = run_experiment(config)
+        (_, _, (curves,), rows), (_, builder, (untraced,), tasks) = harness._record_jobs(
+            tmp_path, "", config, records
+        )
+        assert curves is records and rows == sum(r.trace_t.size for r in records)
+        assert builder is harness._per_task_csv_text and tasks == 2 * SMALL["num_tasks"]
+        assert all(r.trace_t.size == r.trace_regret.size == 0 for r in untraced)
+        assert builder(untraced) == builder(records)
+
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="algorithm"):
             run_experiment(small_config(algorithm="ucb"))
@@ -444,6 +472,7 @@ class TestCli:
     def test_compare_files_do_not_depend_on_the_worker_count(
         self, tmp_path, capsys, monkeypatch, fmt
     ):
+        monkeypatch.setattr(harness, "POOL_WRITE_MIN_POINTS", 0)  # pool even these small files
         runs = {}
         for workers in ("1", "2"):
             monkeypatch.setenv(WORKERS_ENV_VAR, workers)
@@ -469,6 +498,7 @@ class TestCli:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_write_in_a_worker_exits_2(self, tmp_path, capsys, monkeypatch, workers):
         monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+        monkeypatch.setattr(harness, "POOL_WRITE_MIN_POINTS", 0)
         out = tmp_path / "cmp"
         (out / "comparison.json").mkdir(parents=True)
         code = self.run_cli(
@@ -483,6 +513,10 @@ class TestCli:
         assert "comparison.json" in err["message"]
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
         assert (out / "comparison.json").is_dir()
+        # every other job still ran, whatever the worker count
+        assert sorted(p.name for p in out.iterdir()) == [
+            "comparison.json", "curves_0_mtrl.csv", "curves_1_independent.csv"
+        ]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
