@@ -15,7 +15,6 @@ import numpy as np
 
 from lowrank_bandits import (
     InstanceSpec,
-    LllConfig,
     generate_instance,
     run_independent_etc,
     run_lll,
@@ -30,9 +29,7 @@ independent_totals = []
 for seed in range(N_SEEDS):
     spec = InstanceSpec(dim=10, rep_dim=2, num_tasks=NUM_TASKS, horizon=10_000, seed=seed)
     instance = generate_instance(spec)
-    state, ledger, _ = run_lll(
-        instance, LllConfig(mode="regret"), np.random.default_rng(1000 + seed)
-    )
+    state, ledger, _ = run_lll(instance, np.random.default_rng(1000 + seed), mode="regret")
     lll_curves.append(state.per_task_regret)
     baseline = run_independent_etc(instance, np.random.default_rng(1000 + seed))
     independent_totals.append(baseline.total)

@@ -28,11 +28,11 @@ for rep_dim in (2, 3, 4):
             num_seeds=N_SEEDS,
             master_seed=rep_dim,
             trace_stride=100,
+            out_dir=None if OUT_DIR is None else f"{OUT_DIR}/k{rep_dim}",
         )
         for algo in ("mtrl", "e2tc", "independent")
     ]
-    out = None if OUT_DIR is None else f"{OUT_DIR}/k{rep_dim}"
-    table, written = compare(configs, out_dir=out)
+    table, written = compare(configs)
     print(f"--- k = {rep_dim} ---")
     for summary in table["summaries"]:
         final = summary["final_regret"]

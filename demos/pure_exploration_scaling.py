@@ -9,7 +9,7 @@ should land well inside the target.
 
 import numpy as np
 
-from lowrank_bandits import InstanceSpec, LllConfig, generate_instance, run_lll
+from lowrank_bandits import InstanceSpec, generate_instance, run_lll
 
 N_SEEDS = 10
 print(f"{'epsilon':>8} {'mean samples':>14} {'max error':>10} {'within eps':>11} {'width':>6}")
@@ -18,9 +18,12 @@ for epsilon in (0.2, 0.1, 0.05, 0.025):
     for seed in range(N_SEEDS):
         spec = InstanceSpec(dim=10, rep_dim=2, num_tasks=50, horizon=10_000, seed=seed)
         instance = generate_instance(spec)
-        config = LllConfig(epsilon=epsilon, delta=0.05, mode="pure_exploration")
         state, _, sample_total = run_lll(
-            instance, config, np.random.default_rng(2000 + seed)
+            instance,
+            np.random.default_rng(2000 + seed),
+            mode="pure_exploration",
+            epsilon=epsilon,
+            delta=0.05,
         )
         errors = np.linalg.norm(state.theta_hats - instance.thetas, axis=0)
         totals.append(sample_total)

@@ -26,7 +26,6 @@ from .mtrl import (
 )
 from .baselines import e2tc_squared_estimator, run_e2tc, run_independent_etc
 from .lll import (
-    LllConfig,
     LllState,
     basis_growth_report,
     extend_basis,
@@ -54,7 +53,6 @@ __all__ = [
     "HorizonTooShortError",
     "InfeasibleActionError",
     "InstanceSpec",
-    "LllConfig",
     "LllState",
     "MtrlDiagnostics",
     "RegretLedger",

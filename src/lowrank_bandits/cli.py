@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .errors import ConfigError
 from .harness import ALGORITHMS, OUTPUT_FORMATS, ExperimentConfig, compare, run_experiment
@@ -20,34 +19,29 @@ from .lll import LOG_ARGS, MODES
 
 _COMPARE_DEFAULT = "mtrl,e2tc,independent"  # the algorithms compare runs when none are named
 
-_OPTION_SPECS = [
-    # (flag, dest, type, help)
-    ("--d", "d", int, "ambient dimension"),
-    ("--k", "k", int, "shared representation dimension"),
-    ("--M", "M", int, "number of tasks"),
-    ("--T", "T", int, "per-task horizon"),
-    ("--noise-std", "noise_std", float, "reward noise standard deviation"),
-    ("--seeds", "seeds", int, "number of replicates"),
-    ("--master-seed", "master_seed", int, "master seed for the replicate streams"),
-    ("--epsilon", "epsilon", float, "target accuracy (lll pure exploration)"),
-    ("--delta", "delta", float, "failure probability (lll)"),
-    ("--trace-stride", "trace_stride", int, "trace thinning stride (0 disables)"),
-    ("--out-dir", "out_dir", str, "output directory for result files"),
+# One row per option: flag, ExperimentConfig field, argparse keywords, help.
+# The option's config-file key is the flag's argparse dest ("--noise-std" ->
+# "noise_std").
+_OPTIONS = [
+    ("--d", "dim", {"type": int}, "ambient dimension"),
+    ("--k", "rep_dim", {"type": int}, "shared representation dimension"),
+    ("--M", "num_tasks", {"type": int}, "number of tasks"),
+    ("--T", "horizon", {"type": int}, "per-task horizon"),
+    ("--noise-std", "noise_std", {"type": float}, "reward noise standard deviation"),
+    ("--seeds", "num_seeds", {"type": int}, "number of replicates"),
+    ("--master-seed", "master_seed", {"type": int}, "master seed for the replicate streams"),
+    ("--epsilon", "epsilon", {"type": float}, "target accuracy (lll pure exploration)"),
+    ("--delta", "delta", {"type": float}, "failure probability (lll)"),
+    ("--trace-stride", "trace_stride", {"type": int}, "trace thinning stride (0 disables)"),
+    ("--out-dir", "out_dir", {"type": str}, "output directory for result files"),
+    ("--mode", "mode", {"choices": MODES}, "lll objective"),
+    ("--log-arg", "log_arg", {"choices": LOG_ARGS}, "lll confidence log factor: log(2dM/delta) or log(2/delta)"),
+    ("--format", "output_format", {"choices": OUTPUT_FORMATS}, "curves output format"),
+    ("--noiseless-oracle", "noiseless_oracle", {"action": "store_true"}, "exact least-squares estimates (requires --noise-std 0)"),
 ]
 
-# Config-file keys (and flag dests) that differ from their ExperimentConfig field.
-_KEY_FIELDS = {
-    "d": "dim",
-    "k": "rep_dim",
-    "M": "num_tasks",
-    "T": "horizon",
-    "seeds": "num_seeds",
-    "format": "output_format",
-}
-_FIELD_KEYS = {field: key for key, field in _KEY_FIELDS.items()}
-_CONFIG_KEYS = [
-    _FIELD_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig) if f.name != "algorithm"
-]
+# Config-file key -> ExperimentConfig field; the keys are the accepted ones.
+_KEY_FIELDS = {flag[2:].replace("-", "_"): field for flag, field, _, _ in _OPTIONS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,59 +51,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    for flag, dest, typ, help_text in _OPTION_SPECS:
-        parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
-    parser.add_argument(
-        "--mode",
-        choices=MODES,
-        default=None,
-        help="lll objective",
-    )
-    parser.add_argument(
-        "--log-arg",
-        dest="log_arg",
-        choices=LOG_ARGS,
-        default=None,
-        help="lll confidence log factor: log(2dM/delta) or log(2/delta)",
-    )
-    parser.add_argument(
-        "--format",
-        dest="format",
-        choices=OUTPUT_FORMATS,
-        default=None,
-        help="curves output format",
-    )
-    parser.add_argument(
-        "--noiseless-oracle",
-        dest="noiseless_oracle",
-        action="store_true",
-        default=None,
-        help="exact least-squares estimates (requires --noise-std 0)",
-    )
-    parser.add_argument(
-        "--config",
-        dest="config_file",
-        type=str,
-        default=None,
-        help="JSON file with option values; explicit flags override it",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lowrank-bandits",
         description="Benchmark multi-task and lifelong linear bandits with a shared low-rank representation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ALGORITHMS:
-        cmd = sub.add_parser(name, help=f"run the {name} algorithm")
-        _add_common_options(cmd)
-    cmp_cmd = sub.add_parser(
-        "compare", help="run several algorithms on identical instances"
-    )
-    _add_common_options(cmp_cmd)
-    cmp_cmd.add_argument(
+    commands = {name: f"run the {name} algorithm" for name in ALGORITHMS}
+    commands["compare"] = "run several algorithms on identical instances"
+    for name, command_help in commands.items():
+        cmd = sub.add_parser(name, help=command_help)
+        for flag, _, keywords, option_help in _OPTIONS:
+            cmd.add_argument(flag, default=None, help=option_help, **keywords)
+        cmd.add_argument(
+            "--config",
+            dest="config_file",
+            type=str,
+            default=None,
+            help="JSON file with option values; explicit flags override it",
+        )
+    sub.choices["compare"].add_argument(
         "--algorithms",
         type=str,
         default=None,
@@ -124,7 +85,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     Explicit flags override file values; options set by neither are left out
     and keep the ``ExperimentConfig`` defaults.
     """
-    keys = _CONFIG_KEYS + (["algorithms"] if args.command == "compare" else [])
+    keys = [*_KEY_FIELDS, *(["algorithms"] if args.command == "compare" else [])]
     values = {}
     if args.config_file:
         with open(args.config_file) as handle:
@@ -150,10 +111,9 @@ def main(argv: list[str] | None = None) -> int:
             algos = options.pop("algorithms", None) or _COMPARE_DEFAULT
             if not isinstance(algos, str):
                 raise ConfigError(f"algorithms: must be a string, got {algos!r}")
-            algos = algos.split(",")
-            algos = [a.strip() for a in algos if a.strip()]
+            algos = [a.strip() for a in algos.split(",") if a.strip()]
             configs = [ExperimentConfig(algorithm=a, **options) for a in algos]
-            table, written = compare(configs, out_dir=options.get("out_dir"))
+            table, written = compare(configs)
             for summary in table["summaries"]:
                 final = summary["final_regret"]
                 print(

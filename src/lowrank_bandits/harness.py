@@ -18,8 +18,9 @@ Output files (schemas fixed):
   ``algo,d,k,M,T,seed,task,task_regret,entered_stage2,tau_after,samples_used``.
 * summary: a structured JSON document.
 
-``compare`` writes ``comparison.json`` instead of a summary, and each
-config's curves and per-task files with the suffix ``_<i>_<algo>``.  The
+``compare`` writes, to the ``out_dir`` its configs share,
+``comparison.json`` instead of a summary, and each config's curves and
+per-task files with the suffix ``_<i>_<algo>``.  The
 text of ``summary.json`` and ``comparison.json`` is exactly
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
@@ -37,6 +38,7 @@ are, and the first error in file order is raised.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import multiprocessing as mp
 import os
@@ -53,7 +55,7 @@ import numpy as np
 from .baselines import run_e2tc, run_independent_etc
 from .env import InstanceSpec, RegretLedger, generate_instance
 from .errors import ConfigError, require_finite, require_int
-from .lll import LllConfig, check_options, run_lll
+from .lll import check_options, run_lll
 from .mtrl import run_mtrl
 
 ALGORITHMS = ("mtrl", "e2tc", "independent", "lll")
@@ -112,14 +114,6 @@ class ExperimentConfig:
             seed=None,
         )
 
-    def lll_config(self) -> LllConfig:
-        return LllConfig(
-            epsilon=self.epsilon,
-            delta=self.delta,
-            mode=self.mode,
-            log_arg=self.log_arg,
-        )
-
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
@@ -148,10 +142,10 @@ class ExperimentConfig:
                 f"output_format: must be one of {OUTPUT_FORMATS}, "
                 f"got {self.output_format!r}"
             )
-        if self.algorithm == "lll":
-            self.lll_config().validate()
-        else:  # summary.json echoes the lifelong options for every algorithm
-            check_options(self.mode, self.log_arg, self.delta, self.epsilon)
+        # summary.json echoes the lifelong options for every algorithm
+        check_options(
+            self.mode, self.log_arg, self.delta, self.epsilon, lifelong=self.algorithm == "lll"
+        )
         if self.noiseless_oracle:
             if self.noise_std != 0:
                 raise ConfigError("noiseless_oracle: requires noise_std == 0")
@@ -225,7 +219,8 @@ def _run_single(config: ExperimentConfig, index: int) -> tuple[RegretLedger, dic
         )
     elif config.algorithm == "lll":
         state, ledger, sample_total = run_lll(
-            instance, config.lll_config(), rng, config.trace_stride
+            instance, rng, config.trace_stride,
+            mode=config.mode, epsilon=config.epsilon, delta=config.delta, log_arg=config.log_arg,
         )
         lll_fields = dict(
             per_task_regret=state.per_task_regret,
@@ -373,13 +368,12 @@ def summarize(records: list[RunRecord]) -> dict:
     return out
 
 
-def compare(
-    configs: list[ExperimentConfig], out_dir: str | None = None
-) -> tuple[dict, list[Path]]:
+def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
     """Run several algorithms on identical instance streams and tabulate gaps.
 
     All configs must agree on everything that shapes the instances and the
-    replication (they may differ in algorithm and algorithm-only options).
+    replication, and on ``out_dir``, where the files go (they may differ in
+    algorithm and algorithm-only options).
     Replicate ``i`` of every config sees the same instance, so pairwise
     differences are paired comparisons.
     """
@@ -398,6 +392,7 @@ def compare(
             "num_seeds",
             "master_seed",
             "trace_stride",
+            "out_dir",
         ):
             if getattr(cfg, fieldname) != getattr(anchor, fieldname):
                 raise ConfigError(
@@ -405,31 +400,25 @@ def compare(
                     f"{getattr(cfg, fieldname)!r} vs {getattr(anchor, fieldname)!r}"
                 )
 
-    all_records: list[list[RunRecord]] = []
-    summaries: list[dict] = []
-    for cfg in configs:
-        records, _ = run_experiment(replace(cfg, out_dir=None))
-        all_records.append(records)
-        summaries.append(summarize(records))
+    all_records = [run_experiment(replace(cfg, out_dir=None))[0] for cfg in configs]
+    summaries = [summarize(records) for records in all_records]
 
     pairs = []
     n = anchor.num_seeds
-    for i in range(len(configs)):
-        for j in range(i + 1, len(configs)):
-            fa = np.array([r.final_regret for r in all_records[i]])
-            fb = np.array([r.final_regret for r in all_records[j]])
-            diff = fa - fb
-            se_a = summaries[i]["final_regret"]["se"]
-            se_b = summaries[j]["final_regret"]["se"]
-            pairs.append(
-                {
-                    "a": configs[i].algorithm,
-                    "b": configs[j].algorithm,
-                    "mean_diff": float(diff.mean()),
-                    "pooled_se": float(np.hypot(se_a, se_b)),
-                    "paired_se": float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-                }
-            )
+    finals = [np.array([r.final_regret for r in records]) for records in all_records]
+    for i, j in itertools.combinations(range(len(configs)), 2):
+        diff = finals[i] - finals[j]
+        se_a = summaries[i]["final_regret"]["se"]
+        se_b = summaries[j]["final_regret"]["se"]
+        pairs.append(
+            {
+                "a": configs[i].algorithm,
+                "b": configs[j].algorithm,
+                "mean_diff": float(diff.mean()),
+                "pooled_se": float(np.hypot(se_a, se_b)),
+                "paired_se": float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+            }
+        )
 
     table = {
         "instance": {
@@ -446,8 +435,8 @@ def compare(
     }
 
     written: list[Path] = []
-    if out_dir is not None:
-        out = Path(out_dir)
+    if anchor.out_dir is not None:
+        out = Path(anchor.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         jobs = [(out / "comparison.json", _json_text, (table,), _curve_points(all_records))]
         for idx, (cfg, records) in enumerate(zip(configs, all_records)):
@@ -543,13 +532,15 @@ def _write_files(jobs: list[WriteJob]) -> list[Path]:
     return results
 
 
+def _curve_fields(r: RunRecord) -> list[str]:
+    """The fields every curves row of ``r`` repeats: ``CURVES_HEADER`` up to ``seed``."""
+    return [r.algorithm, r.dim, r.rep_dim, r.num_tasks, r.horizon, fmt(r.noise_std), r.seed_index]
+
+
 def _curves_csv_text(records: list[RunRecord]) -> str:
     chunks = [",".join(CURVES_HEADER) + "\n"]
     for r in records:
-        prefix = (
-            f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
-            f"{fmt(r.noise_std)},{r.seed_index},"
-        )
+        prefix = "".join(f"{value}," for value in _curve_fields(r))
         # One string per record: its row strings are freed together, not
         # kept until the whole file is joined.
         chunks.append("".join([
@@ -561,16 +552,27 @@ def _curves_csv_text(records: list[RunRecord]) -> str:
 
 def _curves_json_text(records: list[RunRecord]) -> str:
     """The curves CSV rows as objects of their field strings, laid out as
-    ``json.dumps(rows, indent=2)`` lays them out.
+    ``json.dumps(rows, indent=2)`` lays them out, one record at a time.
 
     The fields are algorithm names, integers and ``.17g`` floats: none
-    holds a comma, and none needs JSON escaping.
+    needs JSON escaping.  The pieces, separators included, are joined
+    once: every further concatenation would copy the whole text again.
     """
-    rows = _curves_csv_text(records).splitlines()[1:]
-    if not rows:
+    pieces = ["[\n"]
+    for r in records:
+        if r.trace_t.size == 0:
+            continue
+        prefix = "  {\n" + "".join(
+            f'    "{name}": "{value}",\n' for name, value in zip(CURVES_HEADER, _curve_fields(r))
+        )
+        pieces += [",\n".join([
+            f'{prefix}    "t": "{t}",\n    "cum_regret": "{c:.17g}"\n  }}'
+            for t, c in zip(r.trace_t.tolist(), r.trace_regret.tolist())
+        ]), ",\n"]
+    if len(pieces) == 1:
         return "[]\n"
-    template = "  {\n" + ",\n".join(f'    "{name}": "%s"' for name in CURVES_HEADER) + "\n  }"
-    return "[\n" + ",\n".join([template % tuple(row.split(",")) for row in rows]) + "\n]\n"
+    pieces[-1] = "\n]\n"
+    return "".join(pieces)
 
 
 def _per_task_csv_text(records: list[RunRecord]) -> str:

@@ -59,30 +59,14 @@ EXTENSION_FLOOR_FRACTION = 0.25  # extend only when ||residual|| >= epsilon / 4
 FULL_BASIS_RESIDUAL_ATOL = 1e-6
 
 
-@dataclass(frozen=True)
-class LllConfig:
-    """Lifelong-learner configuration.
+def check_options(
+    mode: str, log_arg: str, delta: float, epsilon: float | None, *, lifelong: bool = True
+) -> None:
+    """Membership and range of the lifelong options.
 
-    ``mode`` (one of ``MODES``) has no default, because the two modes play
-    different objectives.  ``epsilon`` is the target estimation accuracy and
-    is required in pure-exploration mode; in regret mode it is derived from
-    the instance and horizon (see module docstring), and a given value is
-    only checked.
+    ``epsilon`` may be unset, except in pure-exploration mode of a
+    ``lifelong`` run: other algorithms only echo these options.
     """
-
-    mode: str
-    epsilon: float | None = None
-    delta: float = 0.05
-    log_arg: str = "union"
-
-    def validate(self) -> None:
-        check_options(self.mode, self.log_arg, self.delta, self.epsilon)
-        if self.mode == "pure_exploration" and self.epsilon is None:
-            raise ConfigError("epsilon: required in pure_exploration mode")
-
-
-def check_options(mode: str, log_arg: str, delta: float, epsilon: float | None) -> None:
-    """Membership and range of the lifelong options; ``epsilon`` may be unset."""
     if mode not in MODES:
         raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
     if log_arg not in LOG_ARGS:
@@ -91,6 +75,8 @@ def check_options(mode: str, log_arg: str, delta: float, epsilon: float | None) 
         raise ConfigError(f"delta: must be in (0, 1), got {delta}")
     if epsilon is not None and not 0 < epsilon < 1:
         raise ConfigError(f"epsilon: must be in (0, 1), got {epsilon}")
+    if lifelong and mode == "pure_exploration" and epsilon is None:
+        raise ConfigError("epsilon: required in pure_exploration mode")
 
 
 def log_factor(delta: float, dim: int, num_tasks: int, log_arg: str = "union") -> float:
@@ -253,28 +239,43 @@ class LllState:
 
 def run_lll(
     instance: BanditInstance,
-    config: LllConfig,
     rng: np.random.Generator | None = None,
     trace_stride: int = 0,
+    *,
+    mode: str,
+    epsilon: float | None = None,
+    delta: float = 0.05,
+    log_arg: str = "union",
 ) -> tuple[LllState, RegretLedger, int]:
     """Process all tasks sequentially; return state, ledger, and sample total.
+
+    ``mode`` (one of ``MODES``) has no default, because the two modes play
+    different objectives.  ``epsilon`` is the target estimation accuracy and
+    is required in pure-exploration mode; in regret mode it is derived from
+    the instance and horizon (see module docstring), and a given value is
+    only checked.
 
     ``sample_total`` counts exploration pulls only (stage 1 and stage 2);
     regret-mode commit pulls are excluded.  In regret mode every task
     issues exactly ``horizon`` pulls, and a task whose exploration budget
     cannot fit inside the horizon raises ``HorizonTooShortError`` before
-    the overrun rather than truncating.
+    the overrun rather than truncating; so does a horizon whose derived
+    ``epsilon`` is at least 1, where the norm test could never fire.
     """
-    config.validate()
+    check_options(mode, log_arg, delta, epsilon)
     rng = rng if rng is not None else np.random.default_rng(0)
     dim, rep_dim = instance.dim, instance.rep_dim
     num_tasks, horizon = instance.num_tasks, instance.horizon
 
-    regret_mode = config.mode == "regret"
+    regret_mode = mode == "regret"
     if regret_mode:
         epsilon = regret_mode_epsilon(dim, rep_dim, num_tasks, horizon)
+        if epsilon >= 1:
+            raise HorizonTooShortError(
+                f"regret-mode epsilon {epsilon:.3g} >= 1 at horizon {horizon}: no norm test fires"
+            )
     else:
-        epsilon = float(config.epsilon)
+        epsilon = float(epsilon)
 
     ledger = RegretLedger(num_tasks, trace_stride)
     state = LllState(
@@ -293,12 +294,8 @@ def run_lll(
         if regret_mode:
             n1, n2 = _regret_mode_budgets(width, dim, epsilon)
         else:
-            n1 = sample_budget_stage1(
-                width, epsilon, config.delta, dim, num_tasks, config.log_arg
-            )
-            n2 = sample_budget_stage2(
-                epsilon, config.delta, dim, num_tasks, config.log_arg
-            )
+            n1 = sample_budget_stage1(width, epsilon, delta, dim, num_tasks, log_arg)
+            n2 = sample_budget_stage2(epsilon, delta, dim, num_tasks, log_arg)
         regret_before = ledger.total
         used = width * n1
         if regret_mode and used > horizon:

@@ -24,7 +24,7 @@ from lowrank_bandits.linalg import (
     subspace_distance,
     top_k_left_singular_vectors,
 )
-from lowrank_bandits.lll import LllConfig, run_lll
+from lowrank_bandits.lll import run_lll
 from lowrank_bandits.mtrl import (
     collect_stage1_samples,
     moment_estimate_theta,
@@ -214,11 +214,13 @@ def test_criterion_6_pure_exploration_guarantees():
         for seed in range(20):
             spec = InstanceSpec(10, 2, 50, 10_000, 1.0, seed=40_000 + seed)
             instance = generate_instance(spec)
-            config = LllConfig(
-                epsilon=epsilon, delta=0.05, mode="pure_exploration", log_arg="union"
-            )
             state, _, sample_total = run_lll(
-                instance, config, np.random.default_rng(50_000 + seed)
+                instance,
+                np.random.default_rng(50_000 + seed),
+                mode="pure_exploration",
+                epsilon=epsilon,
+                delta=0.05,
+                log_arg="union",
             )
             errors = np.linalg.norm(state.theta_hats - instance.thetas, axis=0)
             hits += int((errors <= epsilon).sum())
@@ -254,7 +256,7 @@ def test_criterion_7_lifelong_regret_profile():
         spec = InstanceSpec(10, 2, 50, 10_000, 1.0, seed=60_000 + seed)
         instance = generate_instance(spec)
         state, ledger, _ = run_lll(
-            instance, LllConfig(mode="regret", delta=0.05), np.random.default_rng(61_000 + seed)
+            instance, np.random.default_rng(61_000 + seed), mode="regret", delta=0.05
         )
         early.append(state.per_task_regret[:25].mean())
         late.append(state.per_task_regret[25:].mean())
@@ -282,7 +284,7 @@ def test_criterion_8_noiseless_exactness():
     spec = InstanceSpec(10, 2, 50, 10_000, 0.0, seed=101)
     instance = generate_instance(spec)
     state, _, _ = run_lll(
-        instance, LllConfig(mode="regret", delta=0.05), np.random.default_rng(901)
+        instance, np.random.default_rng(901), mode="regret", delta=0.05
     )
     errors = np.linalg.norm(state.theta_hats - instance.thetas, axis=0)
     commit = float(state.per_task_commit_regret.sum())

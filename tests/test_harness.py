@@ -4,12 +4,15 @@ import json
 import os
 import pickle
 import stat
+import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lowrank_bandits import harness
+from lowrank_bandits import cli
 from lowrank_bandits.cli import main
 from lowrank_bandits.errors import ConfigError
 from lowrank_bandits.harness import (
@@ -141,9 +144,12 @@ class TestRunExperiment:
         previous = os.umask(umask)
         try:
             _, written = run_experiment(small_config(**lll, out_dir=str(tmp_path / "run")))
+            cmp_dir = str(tmp_path / "cmp")
             _, compared = compare(
-                [small_config(algorithm="mtrl"), small_config(**lll)],
-                out_dir=str(tmp_path / "cmp"),
+                [
+                    small_config(algorithm="mtrl", out_dir=cmp_dir),
+                    small_config(**lll, out_dir=cmp_dir),
+                ]
             )
         finally:
             os.umask(previous)
@@ -321,6 +327,20 @@ class TestRoundTrip:
         for records in ([], mtrl[:1], mtrl, lll):
             assert harness._curves_json_text(records) == reference(records)
 
+    def test_curves_json_peak_is_twice_the_text(self):
+        # The text and its pieces, nothing more: a concatenation around the
+        # joined text would hold a third copy.
+        records, _ = run_experiment(
+            small_config(algorithm="mtrl", horizon=4000, num_seeds=3, trace_stride=1)
+        )
+        tracemalloc.start()
+        try:
+            text = harness._curves_json_text(records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * len(text)
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -415,11 +435,23 @@ class TestCompare:
                 [small_config(algorithm="mtrl"), small_config(algorithm="e2tc", num_tasks=6)]
             )
 
+    def test_mismatched_out_dir_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="out_dir"):
+            compare(
+                [
+                    small_config(algorithm="mtrl", out_dir=str(tmp_path / "a")),
+                    small_config(algorithm="e2tc", out_dir=str(tmp_path / "b")),
+                ]
+            )
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_comparison_files(self, tmp_path):
         out = tmp_path / "cmp"
         table, written = compare(
-            [small_config(algorithm="mtrl"), small_config(algorithm="independent")],
-            out_dir=str(out),
+            [
+                small_config(algorithm="mtrl", out_dir=str(out)),
+                small_config(algorithm="independent", out_dir=str(out)),
+            ]
         )
         assert (out / "comparison.json").exists()
         loaded = json.loads((out / "comparison.json").read_text())
@@ -618,7 +650,7 @@ class TestCli:
             seen.append(config)
             return [SimpleNamespace(final_regret=0.0)], []
 
-        def fake_compare(configs, out_dir=None):
+        def fake_compare(configs):
             seen.extend(configs)
             return {"summaries": [], "pairs": []}, []
 
@@ -635,6 +667,16 @@ class TestCli:
         expected = ExperimentConfig(algorithm="lll", **{field: value})
         assert self.captured_configs(monkeypatch, "lll", "--config", str(config_path)) == [expected]
         assert self.captured_configs(monkeypatch, "lll", *flags) == [expected]
+
+    def test_option_table_covers_the_config(self):
+        flags = [flag for flag, _, _, _ in cli._OPTIONS]
+        option_fields = [field for _, field, _, _ in cli._OPTIONS]
+        config_fields = [f.name for f in fields(ExperimentConfig) if f.name != "algorithm"]
+        assert sorted(option_fields) == sorted(config_fields)  # one row per field
+        assert len(set(flags)) == len(flags)
+        assert len(cli._KEY_FIELDS) == len(flags)  # no key twice
+        # Each key is its flag's argparse dest, which is where main reads it.
+        assert set(cli._KEY_FIELDS) <= set(vars(cli.build_parser().parse_args(["mtrl"])))
 
     @pytest.mark.parametrize("command", harness.ALGORITHMS)
     def test_no_options_give_the_config_defaults(self, monkeypatch, command):

@@ -5,7 +5,6 @@ from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance
 from lowrank_bandits.errors import ConfigError, HorizonTooShortError
 from lowrank_bandits.linalg import empty_basis, is_orthonormal
 from lowrank_bandits.lll import (
-    LllConfig,
     basis_growth_report,
     extend_basis,
     log_factor,
@@ -174,7 +173,7 @@ class TestRunLll:
         # or triggers re-estimation; the chain is then exact end to end
         inst = make_instance(noise_std=0.0, seed=101)
         state, ledger, total = run_lll(
-            inst, LllConfig(mode="regret"), np.random.default_rng(901)
+            inst, np.random.default_rng(901), mode="regret"
         )
         errs = np.linalg.norm(state.theta_hats - inst.thetas, axis=0)
         assert state.width == inst.rep_dim
@@ -185,8 +184,9 @@ class TestRunLll:
 
     def test_sample_accounting_identity(self):
         inst = make_instance(seed=7, num_tasks=20, horizon=10_000)
-        config = LllConfig(epsilon=0.2, delta=0.05, mode="pure_exploration")
-        state, ledger, total = run_lll(inst, config, np.random.default_rng(8))
+        state, ledger, total = run_lll(
+            inst, np.random.default_rng(8), mode="pure_exploration", epsilon=0.2, delta=0.05
+        )
         # rebuild the total from widths and stage-2 entries
         expected = 0
         width_before = 0
@@ -204,8 +204,14 @@ class TestRunLll:
 
     def test_pure_mode_trace_and_width_monotone(self):
         inst = make_instance(seed=9, num_tasks=30)
-        config = LllConfig(epsilon=0.1, delta=0.05, mode="pure_exploration")
-        state, ledger, _ = run_lll(inst, config, np.random.default_rng(10), trace_stride=1000)
+        state, ledger, _ = run_lll(
+            inst,
+            np.random.default_rng(10),
+            trace_stride=1000,
+            mode="pure_exploration",
+            epsilon=0.1,
+            delta=0.05,
+        )
         assert np.all(np.diff(state.width_after) >= 0)
         assert state.width <= inst.dim
         _, cums = ledger.trace()
@@ -215,7 +221,7 @@ class TestRunLll:
     def test_regret_mode_pull_counts(self):
         inst = make_instance(seed=11, num_tasks=12, horizon=5000)
         state, ledger, total = run_lll(
-            inst, LllConfig(mode="regret"), np.random.default_rng(12)
+            inst, np.random.default_rng(12), mode="regret"
         )
         assert ledger.num_pulls == inst.num_tasks * inst.horizon
         # exploration total excludes commit pulls
@@ -225,33 +231,40 @@ class TestRunLll:
     def test_regret_mode_overflow_raises(self):
         inst = make_instance(seed=13, num_tasks=50, horizon=100)
         with pytest.raises(HorizonTooShortError):
-            run_lll(inst, LllConfig(mode="regret"), np.random.default_rng(14))
+            run_lll(inst, np.random.default_rng(14), mode="regret")
+
+    @pytest.mark.parametrize("horizon", [1, 5, 12])
+    def test_regret_mode_epsilon_of_one_raises(self, horizon):
+        # Derived epsilon >= 1: the norm test ||theta|| <= 1 - epsilon cannot
+        # fire, so the learner would commit every task blind.
+        inst = make_instance(seed=13, num_tasks=25, horizon=horizon)
+        assert regret_mode_epsilon(inst.dim, inst.rep_dim, inst.num_tasks, horizon) >= 1
+        with pytest.raises(HorizonTooShortError, match="epsilon"):
+            run_lll(inst, np.random.default_rng(14), mode="regret")
 
     def test_epsilon_required_in_pure_mode(self):
         inst = make_instance(seed=15)
         with pytest.raises(ConfigError, match="epsilon"):
-            run_lll(inst, LllConfig(mode="pure_exploration"), np.random.default_rng(0))
+            run_lll(inst, np.random.default_rng(0), mode="pure_exploration")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
-            LllConfig(mode="both").validate()
+            run_lll(make_instance(seed=15), mode="both", epsilon=0.1)
 
     def test_config_is_required(self):
-        # No default config: a run must say which objective it plays.
-        with pytest.raises(TypeError):
+        # No default objective: a run must say which mode it plays.
+        with pytest.raises(TypeError, match="mode"):
             run_lll(make_instance(seed=15))
 
     def test_mode_is_required(self):
         with pytest.raises(TypeError, match="mode"):
-            LllConfig()
-        with pytest.raises(TypeError, match="mode"):
-            LllConfig(epsilon=0.1)
+            run_lll(make_instance(seed=15), np.random.default_rng(0), epsilon=0.1)
 
     def test_deterministic_given_seed(self):
         inst = make_instance(seed=16, num_tasks=15)
-        config = LllConfig(epsilon=0.1, mode="pure_exploration")
-        a = run_lll(inst, config, np.random.default_rng(17))
-        b = run_lll(inst, config, np.random.default_rng(17))
+        options = dict(mode="pure_exploration", epsilon=0.1)
+        a = run_lll(inst, np.random.default_rng(17), **options)
+        b = run_lll(inst, np.random.default_rng(17), **options)
         assert a[2] == b[2]
         assert np.array_equal(a[0].theta_hats, b[0].theta_hats)
         assert a[1].total == b[1].total
@@ -261,9 +274,7 @@ class TestBasisGrowthReport:
     def test_threshold_arithmetic(self):
         inst = make_instance(noise_std=0.0, seed=101)
         state, _, _ = run_lll(
-            inst,
-            LllConfig(epsilon=0.1, mode="pure_exploration"),
-            np.random.default_rng(901),
+            inst, np.random.default_rng(901), mode="pure_exploration", epsilon=0.1
         )
         report = basis_growth_report(state, 2, 0.1)
         # 4 * 2 * ceil(log(20) + 1) = 8 * 4
@@ -273,6 +284,6 @@ class TestBasisGrowthReport:
     def test_width_never_exceeds_dim(self):
         inst = make_instance(seed=19, num_tasks=40)
         state, _, _ = run_lll(
-            inst, LllConfig(epsilon=0.3, mode="pure_exploration"), np.random.default_rng(20)
+            inst, np.random.default_rng(20), mode="pure_exploration", epsilon=0.3
         )
         assert state.width <= inst.dim
