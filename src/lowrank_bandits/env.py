@@ -325,20 +325,63 @@ class RegretLedger:
         self.total += float(carry)
         self.num_pulls += count
 
+    @classmethod
+    def from_trace(cls, ts, cums, num_tasks: int = 1) -> RegretLedger:
+        """The ledger whose ``trace()`` is ``(ts, cums)``, bit for bit.
+
+        ``ts`` must be the grid ``trace`` gives: the multiples of
+        ``ts[0]`` up to the last pull, plus the last pull when it is off
+        the grid; anything else raises ``ValueError``.  The points become
+        one segment based at ``-0.0``, the additive identity, so every
+        value keeps its bits, ``-0.0`` included.  A trace holds no
+        per-task sums: ``per_task`` stays zero.
+        """
+        ts = np.asarray(ts)
+        cums = np.asarray(cums, dtype=float)
+        if ts.ndim != 1 or ts.shape != cums.shape or ts.size == 0 or ts[0] < 1:
+            raise ValueError("trace points must be matching 1-D arrays starting at t >= 1")
+        ledger = cls(num_tasks, int(ts[0]))
+        ledger.num_pulls = int(ts[-1])
+        # Sizes first: a malformed last point must not build a huge grid.
+        if ledger.trace_size() != ts.size or not np.array_equal(ledger.trace_grid(), ts):
+            raise ValueError(
+                f"trace points are not the stride-{ledger.trace_stride} grid "
+                f"up to {ledger.num_pulls}"
+            )
+        on_grid = ledger.num_pulls // ledger.trace_stride
+        ledger._segments.append((0, ledger.num_pulls, -0.0, cums[:on_grid].copy()))
+        ledger.total = float(cums[-1])
+        return ledger
+
+    def trace_size(self) -> int:
+        """How many points ``trace()`` holds, counted without building them."""
+        if self.trace_stride == 0:
+            return 0
+        return -(-self.num_pulls // self.trace_stride)  # the grid, plus num_pulls when off it
+
+    def trace_grid(self) -> np.ndarray:
+        """The pull counts of ``trace()``'s points, from ``trace_stride`` and
+        ``num_pulls`` alone: the stride's multiples up to ``num_pulls``, plus
+        ``num_pulls`` when it is off the grid; empty when the trace is disabled."""
+        stride, size = self.trace_stride, self.trace_size()
+        if size == 0:
+            return np.zeros(0, dtype=int)
+        ts = np.arange(stride, size * stride + 1, stride, dtype=int)
+        ts[-1] = self.num_pulls
+        return ts
+
     def trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thinned cumulative-regret trace; empty when the trace is disabled.
+        """Thinned cumulative-regret trace on ``trace_grid()``; empty when the
+        trace is disabled.
 
         The last point is ``(num_pulls, total)``.  On the stride grid, its
         segment would give the same bits: ``total + count * value``, or
         the last partial sum, is what the record added to ``total``.
         """
-        stride, num_pulls = self.trace_stride, self.num_pulls
-        if stride == 0 or num_pulls == 0:
-            return np.zeros(0, dtype=int), np.zeros(0)
-        size = -(-num_pulls // stride)  # grid points, plus num_pulls when off the grid
-        ts = np.arange(stride, size * stride + 1, stride, dtype=int)
-        ts[-1] = num_pulls
-        cums = np.empty(size)
+        stride, ts = self.trace_stride, self.trace_grid()
+        cums = np.empty(ts.size)
+        if ts.size == 0:
+            return ts, cums
         for pulls, count, total, value in self._segments:
             a, b = pulls // stride, (pulls + count) // stride
             if isinstance(value, np.ndarray):

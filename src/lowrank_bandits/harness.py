@@ -9,6 +9,16 @@ The mixing is a pure function of ``(s, i)``, stable across releases, and
 independent of the algorithm, so experiments that share a master seed run
 their algorithms on identical instances replicate by replicate.
 
+Records
+-------
+``run_experiment`` returns one ``RunRecord`` per replicate.  A record keeps
+its trace as its replicate's ``RegretLedger``: one segment per ledger
+record, however many pulls the record covers.  ``trace_t`` and
+``trace_regret`` expand it on every read, and only the code that reads
+points reads them: the curves writers, inside their write jobs, and
+``summarize``'s mean curve.  So a record stays small in memory and across
+the process pool, and a run without ``out_dir`` builds no trace point.
+
 Output files (schemas fixed):
 
 * curves: CSV header ``algo,d,k,M,T,noise_std,seed,t,cum_regret`` — one
@@ -144,7 +154,8 @@ class ExperimentConfig:
             )
         # summary.json echoes the lifelong options for every algorithm
         check_options(
-            self.mode, self.log_arg, self.delta, self.epsilon, lifelong=self.algorithm == "lll"
+            self.mode, self.log_arg, self.delta, self.epsilon, self.dim, self.num_tasks,
+            lifelong=self.algorithm == "lll",
         )
         if self.noiseless_oracle:
             if self.noise_std != 0:
@@ -170,7 +181,7 @@ def replicate_seed_sequences(
 
 @dataclass(eq=False)
 class RunRecord:
-    """Everything one replicate produced.
+    """Everything one replicate produced; its trace is ``ledger`` (module docstring: Records).
 
     ``wall_seconds`` is the time the replicate's algorithm ran, in its
     worker.  It is kept in memory only; it never enters output files (they
@@ -185,8 +196,7 @@ class RunRecord:
     noise_std: float
     seed_index: int
     final_regret: float
-    trace_t: np.ndarray
-    trace_regret: np.ndarray
+    ledger: RegretLedger
     per_task_regret: np.ndarray | None = None
     entered_stage2: np.ndarray | None = None
     width_after: np.ndarray | None = None
@@ -195,13 +205,33 @@ class RunRecord:
     sample_total: int | None = None
     wall_seconds: float = 0.0
 
+    # A disabled trace (stride 0) keeps its final point, so curves are never empty.
+    @property
+    def trace_t(self) -> np.ndarray:
+        """The pull counts of the trace points, from the ledger's stride and pulls alone."""
+        if self.ledger.trace_stride == 0:
+            return np.array([self.ledger.num_pulls])
+        return self.ledger.trace_grid()
+
+    @property
+    def trace_regret(self) -> np.ndarray:
+        """The cumulative regret at each of ``trace_t``'s pull counts."""
+        if self.ledger.trace_stride == 0:
+            return np.array([self.ledger.total])
+        return self.ledger.trace()[1]
+
+    @property
+    def trace_size(self) -> int:
+        """``trace_t.size``, counted without building the grid."""
+        return 1 if self.ledger.trace_stride == 0 else self.ledger.trace_size()
+
 
 def _run_single(config: ExperimentConfig, index: int) -> tuple[RegretLedger, dict, float]:
     """Run replicate ``index``: its ledger, its lll fields and its wall seconds.
 
     This is what a pool worker sends back.  The ledger holds its trace as
     segments, so the result grows with the number of records, not with
-    pulls ÷ ``trace_stride``; ``_record`` expands it in the parent.
+    pulls ÷ ``trace_stride``; the ``RunRecord`` keeps it so.
     """
     instance_ss, policy_ss = replicate_seed_sequences(config.master_seed, index)
     instance = generate_instance(config.instance_spec(), np.random.default_rng(instance_ss))
@@ -240,10 +270,6 @@ def _record(
 ) -> RunRecord:
     """Build replicate ``index``'s record from what ``_run_single`` returned."""
     ledger, lll_fields, wall_seconds = result
-    ts, cums = ledger.trace()
-    if ts.size == 0:  # trace disabled: keep the final point so curves are never empty
-        ts = np.array([ledger.num_pulls], dtype=int)
-        cums = np.array([ledger.total])
     return RunRecord(
         algorithm=config.algorithm,
         dim=config.dim,
@@ -253,8 +279,7 @@ def _record(
         noise_std=config.noise_std,
         seed_index=index,
         final_regret=float(ledger.total),
-        trace_t=ts,
-        trace_regret=cums,
+        ledger=ledger,
         wall_seconds=wall_seconds,
         **lll_fields,
     )
@@ -313,12 +338,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     return records, written
 
 
-def _shared_grid(records: list[RunRecord]) -> np.ndarray | None:
-    """The trace grid every record shares, or None when the grids differ."""
-    grids = [r.trace_t for r in records]
-    if all(np.array_equal(g, grids[0]) for g in grids[1:]):
-        return grids[0]
-    return None
+def _shares_grid(records: list[RunRecord]) -> bool:
+    """Whether every record has the same trace grid, which ``(trace_stride,
+    num_pulls)`` sets."""
+    return len({(r.ledger.trace_stride, r.ledger.num_pulls) for r in records}) == 1
 
 
 def summarize(records: list[RunRecord]) -> dict:
@@ -347,11 +370,10 @@ def summarize(records: list[RunRecord]) -> dict:
         },
     }
 
-    grid = _shared_grid(records)
-    if grid is not None:
+    if _shares_grid(records):
         stacked = np.vstack([r.trace_regret for r in records])
         out["mean_curve"] = {
-            "t": grid.tolist(),
+            "t": records[0].trace_t.tolist(),
             "regret": stacked.mean(axis=0).tolist(),
         }
     else:
@@ -482,24 +504,20 @@ POOL_WRITE_MIN_POINTS = 40_000
 
 def _curve_points(record_sets: list[list[RunRecord]]) -> int:
     """The points of the mean curves that ``summarize`` gives ``record_sets``."""
-    return sum(grid.size for grid in map(_shared_grid, record_sets) if grid is not None)
+    return sum(records[0].trace_size for records in record_sets if _shares_grid(records))
 
 
 def _record_jobs(
     out_dir: Path, suffix: str, config: ExperimentConfig, records: list[RunRecord]
 ) -> list[WriteJob]:
     """Write jobs for the curves in ``config.output_format`` and, for lll, the
-    per-task CSV, whose job gets the records without their traces."""
+    per-task CSV."""
     curves_text = _curves_csv_text if config.output_format == "csv" else _curves_json_text
-    rows = sum(r.trace_t.size for r in records)
+    rows = sum(r.trace_size for r in records)
     jobs = [(out_dir / f"curves{suffix}.{config.output_format}", curves_text, (records,), rows)]
     if config.algorithm == "lll":
-        untraced = [
-            replace(r, trace_t=np.zeros(0, dtype=int), trace_regret=np.zeros(0))
-            for r in records
-        ]
         rows = sum(r.per_task_regret.size for r in records)
-        jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (untraced,), rows))
+        jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (records,), rows))
     return jobs
 
 
@@ -560,7 +578,7 @@ def _curves_json_text(records: list[RunRecord]) -> str:
     """
     pieces = ["[\n"]
     for r in records:
-        if r.trace_t.size == 0:
+        if r.trace_size == 0:
             continue
         prefix = "  {\n" + "".join(
             f'    "{name}": "{value}",\n' for name, value in zip(CURVES_HEADER, _curve_fields(r))
@@ -648,7 +666,11 @@ def _json_text(doc) -> str:
 
 
 def read_curves_csv(path: str | Path) -> list[RunRecord]:
-    """Rebuild partial run records (config echo + trace) from a curves CSV."""
+    """Rebuild partial run records (config echo + trace) from a curves CSV.
+
+    A record's points must be the stride grid plus the final pull, as the
+    writers leave them; anything else raises ``ValueError``.
+    """
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != CURVES_HEADER:
@@ -674,8 +696,7 @@ def read_curves_csv(path: str | Path) -> list[RunRecord]:
                 noise_std=float(row["noise_std"]),
                 seed_index=int(row["seed"]),
                 final_regret=float(cums[-1]),
-                trace_t=ts,
-                trace_regret=cums,
+                ledger=RegretLedger.from_trace(ts, cums, int(row["M"])),
             )
         )
     records.sort(key=lambda r: (r.algorithm, r.seed_index))
@@ -705,8 +726,7 @@ def read_per_task_csv(path: str | Path) -> list[RunRecord]:
                 noise_std=float("nan"),
                 seed_index=seed_index,
                 final_regret=float(sum(float(row["task_regret"]) for row in group)),
-                trace_t=np.zeros(0, dtype=int),
-                trace_regret=np.zeros(0),
+                ledger=RegretLedger(int(first["M"])),  # no pulls: an empty trace
                 per_task_regret=np.array([float(row["task_regret"]) for row in group]),
                 entered_stage2=np.array([bool(int(row["entered_stage2"])) for row in group]),
                 width_after=np.array([int(row["tau_after"]) for row in group]),

@@ -57,15 +57,20 @@ LOG_ARGS = ("union", "plain")
 
 EXTENSION_FLOOR_FRACTION = 0.25  # extend only when ||residual|| >= epsilon / 4
 FULL_BASIS_RESIDUAL_ATOL = 1e-6
+# Pull counts are int64 in numpy: the oracle's sqrt(count), samples_used.
+MAX_PULLS = np.iinfo(np.int64).max
 
 
 def check_options(
-    mode: str, log_arg: str, delta: float, epsilon: float | None, *, lifelong: bool = True
+    mode: str, log_arg: str, delta: float, epsilon: float | None, dim: int, num_tasks: int,
+    *, lifelong: bool = True,
 ) -> None:
     """Membership and range of the lifelong options.
 
     ``epsilon`` may be unset, except in pure-exploration mode of a
-    ``lifelong`` run: other algorithms only echo these options.
+    ``lifelong`` run: other algorithms only echo these options.  There, the
+    pulls of a run whose every task explores a full-width basis and then
+    re-estimates must fit in int64.
     """
     if mode not in MODES:
         raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
@@ -75,8 +80,17 @@ def check_options(
         raise ConfigError(f"delta: must be in (0, 1), got {delta}")
     if epsilon is not None and not 0 < epsilon < 1:
         raise ConfigError(f"epsilon: must be in (0, 1), got {epsilon}")
-    if lifelong and mode == "pure_exploration" and epsilon is None:
-        raise ConfigError("epsilon: required in pure_exploration mode")
+    if lifelong and mode == "pure_exploration":
+        if epsilon is None:
+            raise ConfigError("epsilon: required in pure_exploration mode")
+        worst = num_tasks * dim * (
+            sample_budget_stage1(dim, epsilon, delta, dim, num_tasks, log_arg)
+            + sample_budget_stage2(epsilon, delta, dim, num_tasks, log_arg)
+        )
+        if worst > MAX_PULLS:
+            raise ConfigError(
+                f"epsilon: {epsilon} allows up to {worst:.3g} pulls, more than int64 holds"
+            )
 
 
 def log_factor(delta: float, dim: int, num_tasks: int, log_arg: str = "union") -> float:
@@ -262,7 +276,7 @@ def run_lll(
     the overrun rather than truncating; so does a horizon whose derived
     ``epsilon`` is at least 1, where the norm test could never fire.
     """
-    check_options(mode, log_arg, delta, epsilon)
+    check_options(mode, log_arg, delta, epsilon, instance.dim, instance.num_tasks)
     rng = rng if rng is not None else np.random.default_rng(0)
     dim, rep_dim = instance.dim, instance.rep_dim
     num_tasks, horizon = instance.num_tasks, instance.horizon

@@ -379,6 +379,26 @@ class TestTraceSegments:
         assert got_t.dtype == ts.dtype
         assert np.array_equal(got_t, ts)
         assert np.array_equal(got_c, cums)
+        assert np.array_equal(ledger.trace_grid(), ts) and ledger.trace_size() == ts.size
+        rebuilt_t, rebuilt_c = RegretLedger.from_trace(got_t, got_c).trace()
+        assert np.array_equal(rebuilt_t, ts) and rebuilt_c.tobytes() == got_c.tobytes()
+
+    @pytest.mark.parametrize(
+        "ts", [[3, 6, 9, 12, 15, 17], [3, 6, 9, 12, 15, 18], [1, 2, 3, 4, 5, 6]]
+    )
+    def test_from_trace_keeps_every_bit(self, ts):
+        cums = np.array([-0.0, 0.0, 1e-300, 0.1 + 0.2, np.nextafter(2.0, 3.0), -0.0])
+        ledger = RegretLedger.from_trace(ts, cums)
+        got_t, got_c = ledger.trace()
+        assert np.array_equal(got_t, ts) and got_c.tobytes() == cums.tobytes()
+        assert ledger.num_pulls == ts[-1] and ledger.total == cums[-1]
+
+    @pytest.mark.parametrize(
+        "ts", [[], [0], [[3, 6]], [3, 7], [3, 6, 10], [3, 6, 8, 9], [2, 3, 5], [5, 10**15]]
+    )
+    def test_from_trace_rejects_points_off_the_grid(self, ts):
+        with pytest.raises(ValueError, match="trace points"):
+            RegretLedger.from_trace(ts, np.ones(np.shape(ts)))
 
     def test_grid_placement(self):
         ledger = RegretLedger(1, trace_stride=10)

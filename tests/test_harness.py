@@ -14,6 +14,7 @@ import pytest
 from lowrank_bandits import harness
 from lowrank_bandits import cli
 from lowrank_bandits.cli import main
+from lowrank_bandits.env import RegretLedger
 from lowrank_bandits.errors import ConfigError
 from lowrank_bandits.harness import (
     WORKERS_ENV_VAR,
@@ -93,8 +94,9 @@ class TestRunExperiment:
             assert (a.width_final, a.sample_total) == (b.width_final, b.sample_total)
 
     def test_worker_result_does_not_grow_with_pulls(self):
-        """A pool worker sends the ledger's segments, not its expanded trace."""
-        sizes, totals = [], []
+        """A pool worker sends the ledger's segments, not its expanded trace,
+        and the records ``run_experiment`` returns keep them so."""
+        sizes, record_sizes, totals = [], [], []
         for horizon, epsilon in ((400, 0.3), (4000, 0.3), (400, 0.15)):
             config = small_config(
                 algorithm="lll", mode="pure_exploration", epsilon=epsilon, horizon=horizon
@@ -102,15 +104,25 @@ class TestRunExperiment:
             result = harness._run_single(config, 0)
             sizes.append(len(pickle.dumps(result)))
             totals.append(result[1]["sample_total"])
+            records, _ = run_experiment(config)
+            record_sizes += [len(pickle.dumps(r)) for r in records]
         assert totals[2] > 3 * totals[0]  # a smaller epsilon: about 4x the pulls
         # At stride 25, the expanded trace of these runs is 60-240 KB.
         assert max(sizes) < 8 * 2**10, sizes
+        assert max(record_sizes) < 8 * 2**10, record_sizes
 
     def test_trace_ends_at_total_pulls(self):
         records, _ = run_experiment(small_config(algorithm="mtrl"))
         for record in records:
             assert record.trace_t[-1] == SMALL["num_tasks"] * SMALL["horizon"]
             assert np.all(np.diff(record.trace_regret) >= -1e-12)
+
+    def test_disabled_trace_keeps_the_final_point(self):
+        records, _ = run_experiment(small_config(algorithm="mtrl", trace_stride=0))
+        for record in records:
+            assert record.trace_size == 1
+            assert record.trace_t.tolist() == [SMALL["num_tasks"] * SMALL["horizon"]]
+            assert record.trace_regret.tolist() == [record.final_regret]
 
     def test_lll_outputs(self, tmp_path):
         out = tmp_path / "lll"
@@ -189,16 +201,20 @@ class TestRunExperiment:
             assert harness._write_files(jobs) == [job[0] for job in jobs]
         assert pools == [1, 1, 2, 4]  # the points outside the largest file decide
 
-    def test_per_task_job_gets_no_traces(self, tmp_path):
-        config = small_config(algorithm="lll", mode="pure_exploration", epsilon=0.3)
+    def test_per_task_job_sends_small_args(self, tmp_path):
+        # At stride 1 the expanded traces of these records take ~3 MB.
+        config = small_config(
+            algorithm="lll", mode="pure_exploration", epsilon=0.3, trace_stride=1
+        )
         records, _ = run_experiment(config)
-        (_, _, (curves,), rows), (_, builder, (untraced,), tasks) = harness._record_jobs(
+        (_, _, (curves,), rows), (_, builder, args, tasks) = harness._record_jobs(
             tmp_path, "", config, records
         )
-        assert curves is records and rows == sum(r.trace_t.size for r in records)
+        assert curves is records and rows == sum(r.trace_t.size for r in records) > 100_000
         assert builder is harness._per_task_csv_text and tasks == 2 * SMALL["num_tasks"]
-        assert all(r.trace_t.size == r.trace_regret.size == 0 for r in untraced)
-        assert builder(untraced) == builder(records)
+        sent = pickle.dumps(args)
+        assert len(sent) < 16 * 2**10, len(sent)
+        assert builder(*pickle.loads(sent)) == harness._per_task_csv_text(records)
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="algorithm"):
@@ -267,13 +283,12 @@ class TestRoundTrip:
             return RunRecord(
                 algorithm=algorithm, dim=10, rep_dim=2, num_tasks=3, horizon=1000,
                 noise_std=noise_std, seed_index=seed, final_regret=regrets[-1],
-                trace_t=np.array(ts, dtype=int), trace_regret=np.array(regrets),
-                **lll_fields,
+                ledger=RegretLedger.from_trace(ts, regrets, 3), **lll_fields,
             )
 
         def lll_record(seed, noise_std):
             return record(
-                "lll", noise_std, seed, [40, 3000], [1e-300, 0.1 + 0.2],
+                "lll", noise_std, seed, [1500, 3000], [1e-300, 0.1 + 0.2],
                 per_task_regret=np.array([0.1 + 0.2, -0.0, 1e-300]),
                 entered_stage2=np.array([True, False, True]),
                 width_after=np.array([1, 1, 2]),
@@ -282,7 +297,8 @@ class TestRoundTrip:
 
         curves_cases = [
             [
-                record("mtrl", 1.0, 0, [10, 20, 30, 3000], [0.1 + 0.2, -0.0, 1e-300, 2.5e7 / 3]),
+                record("mtrl", 1.0, 0, [800, 1600, 2400, 3000],
+                       [0.1 + 0.2, -0.0, 1e-300, 2.5e7 / 3]),
                 record("mtrl", 1.0, 1, [3000], [123.456]),
             ],
             [record("independent", 0.0, 0, [3000], [0.0])],
@@ -385,8 +401,7 @@ class TestSummarize:
             noise_std=1.0,
             seed_index=seed,
             final_regret=final,
-            trace_t=np.array([1, 2]),
-            trace_regret=np.array([final / 2, final]),
+            ledger=RegretLedger.from_trace([1, 2], [final / 2, final], 5),
         )
 
     def test_single_record(self):
@@ -580,6 +595,24 @@ class TestCli:
         ) == 0
         assert (from_file / written).read_bytes() == (from_flag / written).read_bytes()
         assert '"noise_std": 1.0' in (from_file / written).read_text()
+
+    def test_pure_exploration_budget_beyond_int64_is_rejected(self, capsys):
+        code = self.run_cli("lll", "--mode", "pure_exploration", "--epsilon", "1e-9")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("epsilon: 1e-09 allows up to")
+
+    def test_pure_exploration_past_the_horizon_runs_without_out_dir(self, capsys):
+        # ~2.5e12 pulls: at stride 10, the trace grid alone would take 1.8 TiB.
+        code = self.run_cli(
+            "lll", "--mode", "pure_exploration", "--epsilon", "1e-4", "--M", "5", "--T", "100",
+            "--seeds", "1",
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("lll: n=1 mean_final=")
 
     def test_error_exit_code_and_message(self, capsys):
         code = self.run_cli("mtrl", "--d", "0")

@@ -3,7 +3,7 @@
 ``perfbench/tracer.py`` replaces each ``TARGETS`` attribute in its consumer
 module with a timing wrapper; ``perfbench/trial.py`` and
 ``perfbench/workloads.py`` call and wrap the harness entry points and read
-``RunRecord`` fields.  A rename or a deleted import under ``src/`` would
+``RunRecord`` fields and properties.  A rename or a deleted import under ``src/`` would
 otherwise only show in the slow benchmark smoke test.
 """
 
@@ -48,6 +48,8 @@ def test_harness_entry_point_resolves(attr):
 
 
 def test_run_record_fields_read_by_trials():
-    names = {f.name for f in dataclasses.fields(harness.RunRecord)}
+    names = {f.name for f in dataclasses.fields(harness.RunRecord)} | {
+        name for name, value in vars(harness.RunRecord).items() if isinstance(value, property)
+    }
     read = {"final_regret", "seed_index", "trace_t", "sample_total", "width_final"}
     assert read | {"entered_stage2", "wall_seconds"} <= names
