@@ -29,9 +29,9 @@ independent_totals = []
 for seed in range(N_SEEDS):
     spec = InstanceSpec(dim=10, rep_dim=2, num_tasks=NUM_TASKS, horizon=10_000, seed=seed)
     instance = generate_instance(spec)
-    state, ledger, _ = run_lll(instance, np.random.default_rng(1000 + seed), mode="regret")
+    _, state = run_lll(instance, np.random.default_rng(1000 + seed), mode="regret")
     lll_curves.append(state.per_task_regret)
-    baseline = run_independent_etc(instance, np.random.default_rng(1000 + seed))
+    baseline, _ = run_independent_etc(instance, np.random.default_rng(1000 + seed))
     independent_totals.append(baseline.total)
 
 per_task = np.vstack(lll_curves).mean(axis=0)

@@ -18,7 +18,7 @@ for epsilon in (0.2, 0.1, 0.05, 0.025):
     for seed in range(N_SEEDS):
         spec = InstanceSpec(dim=10, rep_dim=2, num_tasks=50, horizon=10_000, seed=seed)
         instance = generate_instance(spec)
-        state, _, sample_total = run_lll(
+        _, state = run_lll(
             instance,
             np.random.default_rng(2000 + seed),
             mode="pure_exploration",
@@ -26,7 +26,7 @@ for epsilon in (0.2, 0.1, 0.05, 0.025):
             delta=0.05,
         )
         errors = np.linalg.norm(state.theta_hats - instance.thetas, axis=0)
-        totals.append(sample_total)
+        totals.append(state.samples_used.sum())
         worst = max(worst, float(errors.max()))
         hits += int((errors <= epsilon).sum())
         pairs += instance.num_tasks

@@ -97,13 +97,14 @@ def run_independent_etc(
     rng: np.random.Generator | None = None,
     trace_stride: int = 0,
     noiseless_oracle: bool = False,
-) -> RegretLedger:
+) -> tuple[RegretLedger, None]:
     """Explore-then-commit on every task independently; no shared structure.
 
     Each task explores with sphere-uniform actions, estimates its
     coefficient by the moment estimator (or exact least squares in the
     noiseless oracle mode), then commits to the greedy unit-ball action.
-    Issues exactly ``num_tasks * horizon`` pulls.
+    Issues exactly ``num_tasks * horizon`` pulls.  Returns the ledger and no
+    details.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     if noiseless_oracle:
@@ -127,4 +128,4 @@ def run_independent_etc(
             )
 
     stage3_commit(instance, theta_hats, horizon - explore, ledger)
-    return ledger
+    return ledger, None

@@ -24,6 +24,9 @@ UNIT_THETA_ATOL = 1e-10
 RANK_SIGMA_MIN = 1e-8
 REGRET_SLACK = 1e-9  # tolerated roundoff outside [0, 2] before raising
 INTERLEAVED_CHUNK = 1 << 16  # entries per chunk of an interleaved record
+# Rewards are about noise_std in size and the estimators sum their squares:
+# below this bound the sum stays finite over any int64 count of pulls.
+MAX_NOISE_STD = 1e100  # 1e200 * 2**63 < 1.8e308
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,8 @@ class InstanceSpec:
             )
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
-        if not self.noise_std >= 0:
-            raise ConfigError(f"noise_std: must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std <= MAX_NOISE_STD:
+            raise ConfigError(f"noise_std: must be in [0, {MAX_NOISE_STD:g}], got {self.noise_std}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,13 +11,14 @@ their algorithms on identical instances replicate by replicate.
 
 Records
 -------
-``run_experiment`` returns one ``RunRecord`` per replicate.  A record keeps
-its trace as its replicate's ``RegretLedger``: one segment per ledger
-record, however many pulls the record covers.  ``trace_t`` and
-``trace_regret`` expand it on every read, and only the code that reads
-points reads them: the curves writers, inside their write jobs, and
-``summarize``'s mean curve.  So a record stays small in memory and across
-the process pool, and a run without ``out_dir`` builds no trace point.
+``run_experiment`` returns one ``RunRecord`` per replicate, built by the
+worker that ran it.  A record keeps its trace as its replicate's
+``RegretLedger``: one segment per ledger record, however many pulls the
+record covers.  ``trace_t`` and ``trace_regret`` expand it on every read,
+and only the code that reads points reads them: the curves writers, inside
+their write jobs, and ``summarize``'s mean curve.  So a record stays small
+in memory and across the process pool, and a run without ``out_dir``
+builds no trace point.
 
 Output files (schemas fixed):
 
@@ -68,7 +69,15 @@ from .errors import ConfigError, require_finite, require_int
 from .lll import check_options, run_lll
 from .mtrl import run_mtrl
 
-ALGORITHMS = ("mtrl", "e2tc", "independent", "lll")
+# The table of algorithms: name -> (its runner's binding here, looked up per
+# call so that a wrapper set on it runs; the ExperimentConfig fields the runner
+# takes as keywords).  Every runner returns (ledger, details).
+ALGORITHMS = {
+    "mtrl": ("run_mtrl", ("noiseless_oracle",)),
+    "e2tc": ("run_e2tc", ()),
+    "independent": ("run_independent_etc", ("noiseless_oracle",)),
+    "lll": ("run_lll", ("mode", "epsilon", "delta", "log_arg")),
+}
 OUTPUT_FORMATS = ("csv", "json")
 WORKERS_ENV_VAR = "LOWRANK_BANDITS_WORKERS"
 
@@ -86,6 +95,8 @@ PER_TASK_HEADER = [
     "tau_after",
     "samples_used",
 ]
+# The RunRecord fields that fill the per-task CSV: all a record keeps of details.
+PER_TASK_COLUMNS = ("per_task_regret", "entered_stage2", "width_after", "samples_used")
 
 
 def fmt(x: float) -> str:
@@ -125,10 +136,12 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
+        row = ALGORITHMS.get(self.algorithm) if isinstance(self.algorithm, str) else None
+        if row is None:
             raise ConfigError(
-                f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}"
+                f"algorithm: must be one of {tuple(ALGORITHMS)}, got {self.algorithm!r}"
             )
+        options = row[1]
         self.instance_spec().validate()
         for name in ("num_seeds", "master_seed", "trace_stride"):
             require_int(name, getattr(self, name))
@@ -155,12 +168,12 @@ class ExperimentConfig:
         # summary.json echoes the lifelong options for every algorithm
         check_options(
             self.mode, self.log_arg, self.delta, self.epsilon, self.dim, self.num_tasks,
-            lifelong=self.algorithm == "lll",
+            lifelong="epsilon" in options,
         )
         if self.noiseless_oracle:
             if self.noise_std != 0:
                 raise ConfigError("noiseless_oracle: requires noise_std == 0")
-            if self.algorithm not in ("mtrl", "independent"):
+            if "noiseless_oracle" not in options:
                 raise ConfigError(
                     f"noiseless_oracle: not supported for {self.algorithm!r}"
                 )
@@ -197,13 +210,20 @@ class RunRecord:
     seed_index: int
     final_regret: float
     ledger: RegretLedger
+    # PER_TASK_COLUMNS, taken from a lifelong runner's details; None otherwise.
     per_task_regret: np.ndarray | None = None
     entered_stage2: np.ndarray | None = None
     width_after: np.ndarray | None = None
     samples_used: np.ndarray | None = None
-    width_final: int | None = None
-    sample_total: int | None = None
     wall_seconds: float = 0.0
+
+    @property
+    def width_final(self) -> int | None:  # the basis width after the last task
+        return None if self.width_after is None else int(self.width_after[-1])
+
+    @property
+    def sample_total(self) -> int | None:  # the exploration pulls of all tasks
+        return None if self.samples_used is None else int(self.samples_used.sum())
 
     # A disabled trace (stride 0) keeps its final point, so curves are never empty.
     @property
@@ -226,50 +246,18 @@ class RunRecord:
         return 1 if self.ledger.trace_stride == 0 else self.ledger.trace_size()
 
 
-def _run_single(config: ExperimentConfig, index: int) -> tuple[RegretLedger, dict, float]:
-    """Run replicate ``index``: its ledger, its lll fields and its wall seconds.
-
-    This is what a pool worker sends back.  The ledger holds its trace as
-    segments, so the result grows with the number of records, not with
-    pulls ÷ ``trace_stride``; the ``RunRecord`` keeps it so.
-    """
+def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
+    """Run replicate ``index`` with its table row's runner; return its record,
+    which is what a pool worker sends back.  Its ledger holds the trace as
+    segments, so the record grows with the ledger's records, not with pulls."""
     instance_ss, policy_ss = replicate_seed_sequences(config.master_seed, index)
     instance = generate_instance(config.instance_spec(), np.random.default_rng(instance_ss))
     rng = np.random.default_rng(policy_ss)
+    runner, options = ALGORITHMS[config.algorithm]
     started = time.perf_counter()
-
-    lll_fields = {}
-    if config.algorithm == "mtrl":
-        ledger, _ = run_mtrl(instance, rng, config.trace_stride, config.noiseless_oracle)
-    elif config.algorithm == "e2tc":
-        ledger, _ = run_e2tc(instance, rng, config.trace_stride)
-    elif config.algorithm == "independent":
-        ledger = run_independent_etc(
-            instance, rng, config.trace_stride, config.noiseless_oracle
-        )
-    elif config.algorithm == "lll":
-        state, ledger, sample_total = run_lll(
-            instance, rng, config.trace_stride,
-            mode=config.mode, epsilon=config.epsilon, delta=config.delta, log_arg=config.log_arg,
-        )
-        lll_fields = dict(
-            per_task_regret=state.per_task_regret,
-            entered_stage2=state.entered_stage2,
-            width_after=state.width_after,
-            samples_used=state.samples_used,
-            width_final=state.width,
-            sample_total=sample_total,
-        )
-    else:  # pragma: no cover - validate() rules this out
-        raise ConfigError(f"algorithm: unknown {config.algorithm!r}")
-    return ledger, lll_fields, time.perf_counter() - started
-
-
-def _record(
-    config: ExperimentConfig, index: int, result: tuple[RegretLedger, dict, float]
-) -> RunRecord:
-    """Build replicate ``index``'s record from what ``_run_single`` returned."""
-    ledger, lll_fields, wall_seconds = result
+    ledger, details = globals()[runner](
+        instance, rng, config.trace_stride, **{name: getattr(config, name) for name in options}
+    )
     return RunRecord(
         algorithm=config.algorithm,
         dim=config.dim,
@@ -280,8 +268,8 @@ def _record(
         seed_index=index,
         final_regret=float(ledger.total),
         ledger=ledger,
-        wall_seconds=wall_seconds,
-        **lll_fields,
+        wall_seconds=time.perf_counter() - started,
+        **{name: getattr(details, name, None) for name in PER_TASK_COLUMNS},
     )
 
 
@@ -322,10 +310,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     worker count never affects results or output bytes.
     """
     config.validate()
-    indices = range(config.num_seeds)
     with _pool(_worker_count(config.num_seeds)) as run_all:
-        results = run_all(_run_single, [config] * config.num_seeds, indices)
-        records = [_record(config, i, result) for i, result in zip(indices, results)]
+        records = list(run_all(_run_single, [config] * config.num_seeds, range(config.num_seeds)))
 
     written: list[Path] = []
     if config.out_dir is not None:
@@ -510,12 +496,12 @@ def _curve_points(record_sets: list[list[RunRecord]]) -> int:
 def _record_jobs(
     out_dir: Path, suffix: str, config: ExperimentConfig, records: list[RunRecord]
 ) -> list[WriteJob]:
-    """Write jobs for the curves in ``config.output_format`` and, for lll, the
-    per-task CSV."""
+    """Write jobs for the curves in ``config.output_format`` and, for records
+    with per-task columns, the per-task CSV."""
     curves_text = _curves_csv_text if config.output_format == "csv" else _curves_json_text
     rows = sum(r.trace_size for r in records)
     jobs = [(out_dir / f"curves{suffix}.{config.output_format}", curves_text, (records,), rows)]
-    if config.algorithm == "lll":
+    if records[0].per_task_regret is not None:
         rows = sum(r.per_task_regret.size for r in records)
         jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (records,), rows))
     return jobs
@@ -597,12 +583,7 @@ def _per_task_csv_text(records: list[RunRecord]) -> str:
     lines = [",".join(PER_TASK_HEADER) + "\n"]
     for r in records:
         prefix = f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},{r.seed_index},"
-        columns = zip(
-            r.per_task_regret.tolist(),
-            r.entered_stage2.tolist(),
-            r.width_after.tolist(),
-            r.samples_used.tolist(),
-        )
+        columns = zip(*(getattr(r, name).tolist() for name in PER_TASK_COLUMNS))
         lines += [  # ":d" writes the bool column as 0/1
             f"{prefix}{task},{regret:.17g},{entered:d},{width:d},{samples:d}\n"
             for task, (regret, entered, width, samples) in enumerate(columns)
@@ -731,7 +712,6 @@ def read_per_task_csv(path: str | Path) -> list[RunRecord]:
                 entered_stage2=np.array([bool(int(row["entered_stage2"])) for row in group]),
                 width_after=np.array([int(row["tau_after"]) for row in group]),
                 samples_used=np.array([int(row["samples_used"]) for row in group]),
-                width_final=int(group[-1]["tau_after"]),
             )
         )
     return records

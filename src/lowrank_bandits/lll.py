@@ -260,8 +260,8 @@ def run_lll(
     epsilon: float | None = None,
     delta: float = 0.05,
     log_arg: str = "union",
-) -> tuple[LllState, RegretLedger, int]:
-    """Process all tasks sequentially; return state, ledger, and sample total.
+) -> tuple[RegretLedger, LllState]:
+    """Process all tasks sequentially; return the ledger and the learner state.
 
     ``mode`` (one of ``MODES``) has no default, because the two modes play
     different objectives.  ``epsilon`` is the target estimation accuracy and
@@ -269,8 +269,8 @@ def run_lll(
     the instance and horizon (see module docstring), and a given value is
     only checked.
 
-    ``sample_total`` counts exploration pulls only (stage 1 and stage 2);
-    regret-mode commit pulls are excluded.  In regret mode every task
+    ``state.samples_used`` counts exploration pulls only (stage 1 and stage
+    2); regret-mode commit pulls are excluded.  In regret mode every task
     issues exactly ``horizon`` pulls, and a task whose exploration budget
     cannot fit inside the horizon raises ``HorizonTooShortError`` before
     the overrun rather than truncating; so does a horizon whose derived
@@ -347,7 +347,7 @@ def run_lll(
             state.per_task_commit_regret[task] = ledger.total - commit_before
         state.per_task_regret[task] = ledger.total - regret_before
 
-    return state, ledger, int(state.samples_used.sum())
+    return ledger, state
 
 
 def basis_growth_report(state: LllState, rep_dim: int, epsilon: float) -> dict:

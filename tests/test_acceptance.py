@@ -214,7 +214,7 @@ def test_criterion_6_pure_exploration_guarantees():
         for seed in range(20):
             spec = InstanceSpec(10, 2, 50, 10_000, 1.0, seed=40_000 + seed)
             instance = generate_instance(spec)
-            state, _, sample_total = run_lll(
+            _, state = run_lll(
                 instance,
                 np.random.default_rng(50_000 + seed),
                 mode="pure_exploration",
@@ -226,7 +226,7 @@ def test_criterion_6_pure_exploration_guarantees():
             hits += int((errors <= epsilon).sum())
             total_pairs += instance.num_tasks
             max_width = max(max_width, state.width)
-            sample_totals.append(sample_total)
+            sample_totals.append(state.samples_used.sum())
         results[epsilon] = (hits / total_pairs, max_width, float(np.mean(sample_totals)))
     accuracy, width_01, samples_01 = results[0.1]
     accuracy_05, width_005, samples_005 = results[0.05]
@@ -255,13 +255,13 @@ def test_criterion_7_lifelong_regret_profile():
     for seed in range(20):
         spec = InstanceSpec(10, 2, 50, 10_000, 1.0, seed=60_000 + seed)
         instance = generate_instance(spec)
-        state, ledger, _ = run_lll(
+        ledger, state = run_lll(
             instance, np.random.default_rng(61_000 + seed), mode="regret", delta=0.05
         )
         early.append(state.per_task_regret[:25].mean())
         late.append(state.per_task_regret[25:].mean())
         lll_totals.append(ledger.total)
-        baseline = run_independent_etc(instance, np.random.default_rng(61_000 + seed))
+        baseline, _ = run_independent_etc(instance, np.random.default_rng(61_000 + seed))
         independent_totals.append(baseline.total)
     mean_early = float(np.mean(early))
     mean_late = float(np.mean(late))
@@ -283,7 +283,7 @@ def test_criterion_8_noiseless_exactness():
     # lifelong: frozen seed with the exact-recovery chain
     spec = InstanceSpec(10, 2, 50, 10_000, 0.0, seed=101)
     instance = generate_instance(spec)
-    state, _, _ = run_lll(
+    _, state = run_lll(
         instance, np.random.default_rng(901), mode="regret", delta=0.05
     )
     errors = np.linalg.norm(state.theta_hats - instance.thetas, axis=0)

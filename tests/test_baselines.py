@@ -118,13 +118,14 @@ class TestIndependentBaseline:
 
     def test_accounts_every_pull(self):
         inst = make_instance(seed=9)
-        ledger = run_independent_etc(inst, np.random.default_rng(10))
+        ledger, details = run_independent_etc(inst, np.random.default_rng(10))
         assert ledger.num_pulls == inst.num_tasks * inst.horizon
+        assert details is None
 
     def test_noiseless_oracle_commit_is_near_zero(self):
         inst = make_instance(noise_std=0.0, seed=11, horizon=600)
         explore = independent_exploration_budget(inst.dim, inst.horizon)
-        ledger = run_independent_etc(
+        ledger, _ = run_independent_etc(
             inst, np.random.default_rng(12), noiseless_oracle=True, trace_stride=1
         )
         ts, cums = ledger.trace()

@@ -5,6 +5,7 @@ import os
 import pickle
 import stat
 import tracemalloc
+import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import pytest
 from lowrank_bandits import harness
 from lowrank_bandits import cli
 from lowrank_bandits.cli import main
-from lowrank_bandits.env import RegretLedger
+from lowrank_bandits.env import MAX_NOISE_STD, RegretLedger
 from lowrank_bandits.errors import ConfigError
 from lowrank_bandits.harness import (
     WORKERS_ENV_VAR,
@@ -60,15 +61,19 @@ class TestRunExperiment:
         assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        out_a = tmp_path / "w1"
-        out_b = tmp_path / "w4"
-        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        run_experiment(small_config(algorithm="independent", num_seeds=4, out_dir=str(out_a)))
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        run_experiment(small_config(algorithm="independent", num_seeds=4, out_dir=str(out_b)))
-        assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
-        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+    @pytest.mark.parametrize("algorithm", list(harness.ALGORITHMS))
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch, algorithm):
+        # Each worker builds its records, so every table row is checked.
+        files = {}
+        for workers in ("1", "4"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+            out = tmp_path / f"w{workers}"
+            config = small_config(algorithm=algorithm, mode="regret", num_seeds=4, out_dir=str(out))
+            run_experiment(config)
+            files[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        per_task = ["per_task.csv"] if algorithm == "lll" else []
+        assert list(files["1"]) == ["curves.csv", *per_task, "summary.json"]
+        assert files["1"] == files["4"]
 
     def test_worker_count_does_not_change_pure_exploration(self, tmp_path, monkeypatch):
         runs = {}
@@ -94,22 +99,32 @@ class TestRunExperiment:
             assert (a.width_final, a.sample_total) == (b.width_final, b.sample_total)
 
     def test_worker_result_does_not_grow_with_pulls(self):
-        """A pool worker sends the ledger's segments, not its expanded trace,
-        and the records ``run_experiment`` returns keep them so."""
-        sizes, record_sizes, totals = [], [], []
+        """A pool worker sends back its record, which keeps the ledger's
+        segments, not its expanded trace."""
+        sizes, totals = [], []
         for horizon, epsilon in ((400, 0.3), (4000, 0.3), (400, 0.15)):
             config = small_config(
                 algorithm="lll", mode="pure_exploration", epsilon=epsilon, horizon=horizon
             )
-            result = harness._run_single(config, 0)
-            sizes.append(len(pickle.dumps(result)))
-            totals.append(result[1]["sample_total"])
-            records, _ = run_experiment(config)
-            record_sizes += [len(pickle.dumps(r)) for r in records]
+            record = harness._run_single(config, 0)
+            sizes.append(len(pickle.dumps(record)))
+            totals.append(record.sample_total)
         assert totals[2] > 3 * totals[0]  # a smaller epsilon: about 4x the pulls
         # At stride 25, the expanded trace of these runs is 60-240 KB.
         assert max(sizes) < 8 * 2**10, sizes
-        assert max(record_sizes) < 8 * 2**10, record_sizes
+
+    def test_runners_are_called_through_their_module_bindings(self, monkeypatch):
+        # The benchmark tracer times a runner by replacing its harness binding.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        calls = []
+        for algorithm, name in (("independent", "run_independent_etc"), ("mtrl", "run_mtrl")):
+            def counted(*args, _runner=getattr(harness, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _runner(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+            run_experiment(small_config(algorithm=algorithm, num_seeds=1))
+        assert calls == ["run_independent_etc", "run_mtrl"]
 
     def test_trace_ends_at_total_pulls(self):
         records, _ = run_experiment(small_config(algorithm="mtrl"))
@@ -134,6 +149,7 @@ class TestRunExperiment:
         for record in records:
             assert record.per_task_regret.shape == (SMALL["num_tasks"],)
             assert record.sample_total == record.samples_used.sum()
+            assert record.width_final == record.width_after[-1]
 
     def test_json_output_format(self, tmp_path):
         out = tmp_path / "json"
@@ -215,6 +231,13 @@ class TestRunExperiment:
         sent = pickle.dumps(args)
         assert len(sent) < 16 * 2**10, len(sent)
         assert builder(*pickle.loads(sent)) == harness._per_task_csv_text(records)
+
+    def test_unknown_algorithm_message(self):
+        with pytest.raises(ConfigError) as error:
+            ExperimentConfig(algorithm="x").validate()
+        assert str(error.value) == (
+            "algorithm: must be one of ('mtrl', 'e2tc', 'independent', 'lll'), got 'x'"
+        )
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="algorithm"):
@@ -613,6 +636,26 @@ class TestCli:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("lll: n=1 mean_final=")
+
+    @pytest.mark.parametrize("command", list(harness.ALGORITHMS))
+    @pytest.mark.parametrize("noise_std,code", [("1e308", 2), (repr(MAX_NOISE_STD), 0)])
+    def test_noise_std_bound(self, capsys, monkeypatch, command, noise_std, code):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")  # a warning in the run reaches this process
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli(
+                command, "--d", "6", "--k", "2", "--M", "5", "--T", "400", "--seeds", "1",
+                "--noise-std", noise_std,
+            ) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            assert json.loads(lines[0]) == {
+                "error": "ConfigError",
+                "message": "noise_std: must be in [0, 1e+100], got 1e+308",
+            }
 
     def test_error_exit_code_and_message(self, capsys):
         code = self.run_cli("mtrl", "--d", "0")

@@ -172,9 +172,7 @@ class TestRunLll:
         # frozen seed where every early task either lies in the learned span
         # or triggers re-estimation; the chain is then exact end to end
         inst = make_instance(noise_std=0.0, seed=101)
-        state, ledger, total = run_lll(
-            inst, np.random.default_rng(901), mode="regret"
-        )
+        _, state = run_lll(inst, np.random.default_rng(901), mode="regret")
         errs = np.linalg.norm(state.theta_hats - inst.thetas, axis=0)
         assert state.width == inst.rep_dim
         assert errs.max() <= 1e-9
@@ -184,7 +182,7 @@ class TestRunLll:
 
     def test_sample_accounting_identity(self):
         inst = make_instance(seed=7, num_tasks=20, horizon=10_000)
-        state, ledger, total = run_lll(
+        ledger, state = run_lll(
             inst, np.random.default_rng(8), mode="pure_exploration", epsilon=0.2, delta=0.05
         )
         # rebuild the total from widths and stage-2 entries
@@ -198,13 +196,13 @@ class TestRunLll:
                     0.2, 0.05, inst.dim, inst.num_tasks
                 )
             width_before = state.width_after[task]
+        total = int(state.samples_used.sum())
         assert total == expected
         assert total == ledger.num_pulls  # pure exploration: every pull is exploration
-        assert total == int(state.samples_used.sum())
 
     def test_pure_mode_trace_and_width_monotone(self):
         inst = make_instance(seed=9, num_tasks=30)
-        state, ledger, _ = run_lll(
+        ledger, state = run_lll(
             inst,
             np.random.default_rng(10),
             trace_stride=1000,
@@ -220,12 +218,12 @@ class TestRunLll:
 
     def test_regret_mode_pull_counts(self):
         inst = make_instance(seed=11, num_tasks=12, horizon=5000)
-        state, ledger, total = run_lll(
+        ledger, state = run_lll(
             inst, np.random.default_rng(12), mode="regret"
         )
         assert ledger.num_pulls == inst.num_tasks * inst.horizon
         # exploration total excludes commit pulls
-        assert total < ledger.num_pulls
+        assert state.samples_used.sum() < ledger.num_pulls
         assert np.all(state.samples_used <= inst.horizon)
 
     def test_regret_mode_overflow_raises(self):
@@ -265,15 +263,15 @@ class TestRunLll:
         options = dict(mode="pure_exploration", epsilon=0.1)
         a = run_lll(inst, np.random.default_rng(17), **options)
         b = run_lll(inst, np.random.default_rng(17), **options)
-        assert a[2] == b[2]
-        assert np.array_equal(a[0].theta_hats, b[0].theta_hats)
-        assert a[1].total == b[1].total
+        assert np.array_equal(a[1].samples_used, b[1].samples_used)
+        assert np.array_equal(a[1].theta_hats, b[1].theta_hats)
+        assert a[0].total == b[0].total
 
 
 class TestBasisGrowthReport:
     def test_threshold_arithmetic(self):
         inst = make_instance(noise_std=0.0, seed=101)
-        state, _, _ = run_lll(
+        _, state = run_lll(
             inst, np.random.default_rng(901), mode="pure_exploration", epsilon=0.1
         )
         report = basis_growth_report(state, 2, 0.1)
@@ -283,7 +281,7 @@ class TestBasisGrowthReport:
 
     def test_width_never_exceeds_dim(self):
         inst = make_instance(seed=19, num_tasks=40)
-        state, _, _ = run_lll(
+        _, state = run_lll(
             inst, np.random.default_rng(20), mode="pure_exploration", epsilon=0.3
         )
         assert state.width <= inst.dim
