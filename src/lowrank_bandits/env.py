@@ -8,10 +8,19 @@ a pull of action ``a`` on task ``m`` pays ``<a, theta_m> + noise``.
 Regret is accounted as EXPECTED instantaneous regret ``1 - <a, theta_m>``
 (the optimum over the unit ball is ``||theta_m|| = 1``), so regret curves
 carry no reward-noise variance.
+
+Inputs are validated once, where they enter: ``InstanceSpec.validate`` checks
+an instance's parameters, ``_mean_rewards`` checks every oracle call's task
+index, action dimension and unit ball, and ``RegretLedger``'s ``record_*``
+methods check the task, the regret range and the count of every record.
+Everything between (the learners' loops, ``pull_block_mean``'s regret)
+reuses those checked values instead of checking them again.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +156,11 @@ def _mean_rewards(
     actions = np.asarray(actions, dtype=float)
     if actions.shape[-1] != instance.dim:
         raise ValueError(f"action dimension {actions.shape[-1]} != {instance.dim}")
-    worst = float(np.max(np.linalg.norm(actions, axis=-1), initial=0.0))
+    if actions.ndim == 1:
+        squared = actions @ actions
+    else:
+        squared = np.einsum("ij,ij->i", actions, actions).max(initial=0.0)
+    worst = math.sqrt(squared)  # inf when an entry's square overflows, NaN when one is NaN
     if not worst <= 1.0 + ACTION_NORM_ATOL:  # written so that NaN fails too
         raise InfeasibleActionError(f"action norm {worst} exceeds the unit ball")
     return actions @ instance.thetas[:, task]
@@ -170,20 +183,27 @@ def pull_block_mean(
     action: np.ndarray,
     count: int,
     rng: np.random.Generator,
-) -> float:
-    """Mean reward of ``count`` consecutive pulls of one fixed action.
+) -> tuple[float, float]:
+    """``(mean_reward, regret)`` of ``count`` consecutive pulls of one fixed action.
 
     The sample mean of ``count`` i.i.d. Gaussian rewards is itself Gaussian
     with standard deviation ``noise_std / sqrt(count)``, so it is drawn in
-    one shot; this is distributionally identical to averaging ``count``
-    individual pulls and keeps large exploration blocks cheap.
+    one shot, with one standard normal; this is distributionally identical
+    to averaging ``count`` individual pulls and keeps large exploration
+    blocks cheap.  ``regret`` is the per-pull ``instant_regret`` of the
+    action, bit for bit, taken from the same evaluation of the mean.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     action = np.asarray(action, dtype=float).ravel()
     mean = float(_mean_rewards(instance, task, action))
-    scale = instance.noise_std / np.sqrt(count)
-    return mean + scale * float(rng.standard_normal())
+    scale = instance.noise_std / math.sqrt(count)
+    return mean + scale * float(rng.standard_normal()), _regret(mean)
+
+
+def _regret(mean: float) -> float:
+    """``1 - mean``, clipped to [0, 2] against roundoff."""
+    return min(max(1.0 - mean, 0.0), 2.0)
 
 
 def instant_regret(instance: BanditInstance, task: int, action: np.ndarray) -> float:
@@ -193,8 +213,7 @@ def instant_regret(instance: BanditInstance, task: int, action: np.ndarray) -> f
     regret depends on the action alone.
     """
     action = np.asarray(action, dtype=float).ravel()
-    gap = 1.0 - float(_mean_rewards(instance, task, action))
-    return min(max(gap, 0.0), 2.0)
+    return _regret(float(_mean_rewards(instance, task, action)))
 
 
 def instant_regret_many(
@@ -261,13 +280,22 @@ class RegretLedger:
         return np.arange(first, self.num_pulls + count + 1, stride)
 
     def record_block(self, task: int, value: float, count: int) -> None:
+        """Account ``count`` pulls of one task at per-pull regret ``value``.
+
+        ``value`` gets ``_validated``'s bounds, clip and message, checked on
+        the scalar; all three arguments are checked even when ``count`` is 0.
+        """
+        count = operator.index(count)
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return
         if not 0 <= task < self.num_tasks:
             raise ValueError(f"task index {task} out of range")
-        value = float(self._validated(np.array([value]))[0])
+        value = float(value)
+        if not -REGRET_SLACK <= value <= 2.0 + REGRET_SLACK:  # NaN fails too
+            raise ValueError(f"regret outside [0, 2]: range [{value}, {value}]")
+        value = min(max(value, 0.0), 2.0)  # keeps -0.0, as _validated does
+        if count == 0:
+            return
         if self.trace_stride:
             self._segments.append((self.num_pulls, count, self.total, value))
         self.per_task[task] += value * count

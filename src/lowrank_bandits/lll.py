@@ -158,16 +158,16 @@ def task_specific_exploration(
     reward of column ``j``'s block and ``theta_tilde = basis @ w_tilde``.
     Records ``width * n1_per_column`` regret entries.  With an empty basis
     the reconstruction is the zero vector and nothing is pulled.
+
+    ``basis`` must have orthonormal columns; it is not checked here.
+    ``run_lll`` passes the identity, or a basis that ``extend_basis`` built
+    from a checked one; the oracle still checks each column's unit ball.
     """
-    basis = require_orthonormal(basis)
     width = basis.shape[1]
     w_tilde = np.zeros(width)
     for j in range(width):
-        column = basis[:, j]
-        w_tilde[j] = pull_block_mean(instance, task, column, n1_per_column, rng)
-        ledger.record_block(
-            task, instant_regret(instance, task, column), n1_per_column
-        )
+        w_tilde[j], regret = pull_block_mean(instance, task, basis[:, j], n1_per_column, rng)
+        ledger.record_block(task, regret, n1_per_column)
     return basis @ w_tilde, w_tilde
 
 

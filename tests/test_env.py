@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lowrank_bandits.env import (
+    ACTION_NORM_ATOL,
     INTERLEAVED_CHUNK,
     BanditInstance,
     InstanceSpec,
@@ -131,16 +132,46 @@ class TestPull:
     def test_block_mean_matches_noiseless_mean(self):
         inst = small_instance(noise_std=0.0)
         action = inst.thetas[:, 3]
-        value = pull_block_mean(inst, 3, action, 17, np.random.default_rng(0))
+        value, _ = pull_block_mean(inst, 3, action, 17, np.random.default_rng(0))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_block_mean_variance_scale(self):
         inst = small_instance(noise_std=1.0, seed=9)
         action = np.zeros(inst.dim)
         rng = np.random.default_rng(7)
-        draws = np.array([pull_block_mean(inst, 0, action, 400, rng) for _ in range(2000)])
+        draws = np.array([pull_block_mean(inst, 0, action, 400, rng)[0] for _ in range(2000)])
         # sample mean of 400 unit-noise pulls has sd 0.05
         assert abs(draws.std(ddof=1) - 0.05) < 0.005
+
+
+class TestBlockMeanPair:
+    """``pull_block_mean`` returns ``(mean_reward, regret)`` from one evaluation."""
+
+    def actions(self, inst, task):
+        rng = np.random.default_rng(12)
+        units = rng.standard_normal((6, inst.dim))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        theta = inst.thetas[:, task]
+        return [*units, theta, -theta, 0.5 * theta, np.zeros(inst.dim)]
+
+    @pytest.mark.parametrize("task", [0, 4])
+    def test_regret_is_instant_regret_bit_for_bit(self, task):
+        inst = small_instance(seed=13)
+        rng = np.random.default_rng(0)
+        for action in self.actions(inst, task):
+            _, regret = pull_block_mean(inst, task, action, 9, rng)
+            assert regret.hex() == instant_regret(inst, task, action).hex()
+
+    @pytest.mark.parametrize("count", [1, 17, 400, 2**40])
+    def test_reward_is_the_old_formula_with_one_normal(self, count):
+        inst = small_instance(noise_std=0.7, seed=14)
+        for action in self.actions(inst, 2):
+            rng, twin = np.random.default_rng(count), np.random.default_rng(count)
+            reward, _ = pull_block_mean(inst, 2, action, count, rng)
+            mean = float(action @ inst.thetas[:, 2])
+            expected = mean + inst.noise_std / np.sqrt(count) * float(twin.standard_normal())
+            assert reward.hex() == float(expected).hex()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestInstantRegret:
@@ -202,6 +233,36 @@ class TestOracleBoundary:
             ORACLES[oracle](inst, task, action)
         assert type(caught.value) is error
         ORACLES[oracle](inst, 0, np.eye(inst.dim)[0])  # the same call with good input passes
+
+    SHAPES = [(oracle, "one") for oracle in sorted(ORACLES)] + [
+        (oracle, "batch") for oracle in sorted(BATCH_ORACLES)
+    ]
+
+    @staticmethod
+    def shaped(inst, action, shape):
+        if shape == "batch":  # the bad row behind a good one
+            return np.vstack([np.eye(inst.dim)[1], action])
+        return action
+
+    @pytest.mark.parametrize("oracle,shape", SHAPES)
+    def test_unit_ball_tolerance(self, oracle, shape):
+        inst = small_instance()
+        direction = np.full(inst.dim, 1.0 / np.sqrt(inst.dim))
+        inside = direction * (1.0 + 0.5 * ACTION_NORM_ATOL)
+        ORACLES[oracle](inst, 0, self.shaped(inst, inside, shape))
+        outside = direction * (1.0 + 2.0 * ACTION_NORM_ATOL)
+        with pytest.raises(InfeasibleActionError, match="exceeds the unit ball"):
+            ORACLES[oracle](inst, 0, self.shaped(inst, outside, shape))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, 1e200])  # 1e200**2 overflows
+    @pytest.mark.parametrize("oracle,shape", SHAPES)
+    def test_huge_entries_rejected(self, oracle, shape, entry):
+        inst = small_instance()
+        action = np.zeros(inst.dim)
+        action[-1] = entry
+        with pytest.raises(InfeasibleActionError):
+            ORACLES[oracle](inst, 0, self.shaped(inst, action, shape))
 
 
 class TestRegretLedger:
@@ -281,6 +342,39 @@ class TestRegretLedger:
         ledger = RegretLedger(1, 0)
         ledger.record_block(0, -1e-12, 5)
         assert ledger.total == 0.0
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, -1e-12, 0.5, 2.0, 2.0 + 1e-10, np.float64(0.7), np.float64(-0.0)]
+    )
+    def test_block_check_matches_the_array_check(self, value):
+        ledger = RegretLedger(1, trace_stride=1)
+        ledger.record_block(0, value, 3)
+        recorded = ledger._segments[-1][3]
+        assert type(recorded) is float
+        assert recorded.hex() == float(RegretLedger._validated(np.array([value]))[0]).hex()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.2, 2.5])
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_block_rejects_out_of_range_at_any_count(self, value, count):
+        ledger = RegretLedger(1, trace_stride=1)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            ledger.record_block(0, value, count)
+        assert ledger.num_pulls == 0 and ledger.total == 0.0 and not ledger._segments
+
+    def test_zero_count_block_checks_task_and_count(self):
+        ledger = RegretLedger(2, trace_stride=1)
+        with pytest.raises(ValueError):
+            ledger.record_block(-7, np.nan, 0)
+        with pytest.raises(ValueError, match="task index"):
+            ledger.record_block(2, 0.5, 0)
+        with pytest.raises(TypeError):
+            ledger.record_block(0, 0.5, 2.5)
+        with pytest.raises(ValueError, match="count"):
+            ledger.record_block(0, 0.5, -1)
+        ledger.record_block(1, 0.5, 0)
+        ledger.record_block(1, 0.5, np.int64(2))
+        assert type(ledger.num_pulls) is int and ledger.num_pulls == 2
+        assert ledger.total == 1.0 and len(ledger._segments) == 1
 
     def test_stride_zero_disables_trace(self):
         ledger = RegretLedger(1, 0)

@@ -285,3 +285,30 @@ class TestBasisGrowthReport:
             inst, np.random.default_rng(20), mode="pure_exploration", epsilon=0.3
         )
         assert state.width <= inst.dim
+
+
+class TestGoldenRun:
+    """``run_lll`` at a fixed shape and seed gives the values recorded before the
+    lifelong hot path was optimised: final regret to the bit, budgets and widths."""
+
+    GOLDEN = {
+        "regret": (
+            "0x1.9a675e8da1b2bp+13",
+            [992, 1054, 248, 248, 1240] + [558] * 11,
+        ),
+        "pure_exploration": (
+            "0x1.47f6576923ec6p+18",
+            [97184, 97564, 1520, 1520, 98704] + [3417] * 11,
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN))
+    def test_matches_recorded_values(self, mode):
+        inst = make_instance(seed=7, dim=8, rep_dim=3, num_tasks=16, horizon=5000)
+        epsilon = 0.3 if mode == "pure_exploration" else None
+        ledger, state = run_lll(inst, np.random.default_rng(8), 10, mode=mode, epsilon=epsilon)
+        total_hex, samples_used = self.GOLDEN[mode]
+        assert ledger.total.hex() == total_hex
+        assert state.samples_used.tolist() == samples_used
+        assert state.width_after.tolist() == [1, 2, 2, 2] + [3] * 12
+        assert np.flatnonzero(state.entered_stage2).tolist() == [0, 1, 4]
