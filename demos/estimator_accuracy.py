@@ -27,9 +27,12 @@ for t1 in BUDGETS:
         spec = InstanceSpec(DIM, REP_DIM, NUM_TASKS, horizon=100_000, seed=seed)
         instance = generate_instance(spec)
         ledger = RegretLedger(NUM_TASKS, 0)
-        actions, rewards = collect_stage1_samples(
-            instance, t1, np.random.default_rng(500 + seed), ledger
+        batches = []  # both estimators see the same samples: keep every batch
+        collect_stage1_samples(
+            instance, t1, np.random.default_rng(500 + seed), ledger,
+            lambda task, *batch: batches.append(batch),
         )
+        actions, rewards = (np.stack(parts) for parts in zip(*batches))
         rect = top_k_left_singular_vectors(
             moment_theta_matrix(actions, rewards), REP_DIM
         )

@@ -9,6 +9,7 @@ any regret difference to the estimator alone.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,11 +18,13 @@ from .env import BanditInstance, RegretLedger
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .env import instant_regret  # noqa: F401
 from .mtrl import (
+    Collect,
     MtrlDiagnostics,
     collect_stage1_samples,
-    _oracle_theta_matrix,
+    _oracle_column,
     _require_noiseless,
     _run_three_stage,
+    _theta_matrix,
     moment_estimate_theta,
     stage3_commit,
 )
@@ -68,10 +71,18 @@ def e2tc_squared_estimator(
 
 
 def _squared_subspace(
-    actions: np.ndarray, rewards: np.ndarray, rep_dim: int
+    instance: BanditInstance, t1: int, collect: Collect
 ) -> tuple[None, np.ndarray]:
-    dim = actions.shape[2]
-    return None, e2tc_squared_estimator(actions, rewards, dim, rep_dim)
+    """Keeps every batch: the pooled einsum sums over (m, t) in one chain,
+    and per-task partial sums would change its bits."""
+    actions = np.empty((instance.num_tasks, t1, instance.dim))
+    rewards = np.empty((instance.num_tasks, t1))
+
+    def keep(task, acts, task_rewards):
+        actions[task], rewards[task] = acts, task_rewards
+
+    collect(keep)
+    return None, e2tc_squared_estimator(actions, rewards, instance.dim, instance.rep_dim)
 
 
 def run_e2tc(
@@ -116,16 +127,12 @@ def run_independent_etc(
     if explore == 0:  # horizon 1: nothing to learn from, commit blind
         theta_hats = np.zeros((dim, num_tasks))
     else:
-        actions, rewards = collect_stage1_samples(instance, explore, rng, ledger)
         if noiseless_oracle:
-            theta_hats = _oracle_theta_matrix(actions, rewards)
+            column = _oracle_column(instance, explore)
         else:
-            theta_hats = np.column_stack(
-                [
-                    moment_estimate_theta(actions[task], rewards[task], dim)
-                    for task in range(num_tasks)
-                ]
-            )
+            column = functools.partial(moment_estimate_theta, dim=dim)
+        collect = functools.partial(collect_stage1_samples, instance, explore, rng, ledger)
+        theta_hats = _theta_matrix(instance, collect, column)
 
     stage3_commit(instance, theta_hats, horizon - explore, ledger)
     return ledger, None

@@ -11,8 +11,10 @@ carry no reward-noise variance.
 
 Inputs are validated once, where they enter: ``InstanceSpec.validate`` checks
 an instance's parameters, ``_mean_rewards`` checks every oracle call's task
-index, action dimension and unit ball, and ``RegretLedger``'s ``record_*``
-methods check the task, the regret range and the count of every record.
+index, action dimension and unit ball (the one-action oracles first reject
+any shape but ``(dim,)`` in ``_one_action``), and ``RegretLedger``'s
+``record_*`` methods check the task, the regret range and the count of
+every record.
 Everything between (the learners' loops, ``pull_block_mean``'s regret)
 reuses those checked values instead of checking them again.
 """
@@ -195,8 +197,7 @@ def pull_block_mean(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    action = np.asarray(action, dtype=float).ravel()
-    mean = float(_mean_rewards(instance, task, action))
+    mean = float(_mean_rewards(instance, task, _one_action(action)))
     scale = instance.noise_std / math.sqrt(count)
     return mean + scale * float(rng.standard_normal()), _regret(mean)
 
@@ -212,8 +213,18 @@ def instant_regret(instance: BanditInstance, task: int, action: np.ndarray) -> f
     Noise-free by construction: the reward noise is zero-mean, so expected
     regret depends on the action alone.
     """
-    action = np.asarray(action, dtype=float).ravel()
-    return _regret(float(_mean_rewards(instance, task, action)))
+    return _regret(float(_mean_rewards(instance, task, _one_action(action))))
+
+
+def _one_action(action: np.ndarray) -> np.ndarray:
+    """``action`` as one contiguous 1-D vector; any other shape raises ``ValueError``.
+
+    A strided column is copied: the dot product's bits depend on the layout.
+    """
+    action = np.asarray(action, dtype=float)
+    if action.ndim != 1:
+        raise ValueError(f"expected one action of shape (dim,), got shape {action.shape}")
+    return action.ravel()
 
 
 def instant_regret_many(
@@ -340,9 +351,8 @@ class RegretLedger:
             chunk = buf[1 : size + 1].reshape(last - first, num_tasks)
             if first // repeat == (last - 1) // repeat:  # inside one column
                 chunk[:] = regrets[:, first // repeat]
-            else:
-                cols = np.arange(first, last) // repeat  # all in range
-                np.take(regrets.T, cols, axis=0, out=chunk, mode="clip")  # unbuffered out
+            else:  # gathers this chunk's columns only; np.take on regrets.T copies them all
+                chunk[:] = regrets[:, np.arange(first, last) // repeat].T
             buf[0] = carry
             cums = np.cumsum(buf[: size + 1], out=buf[: size + 1])[1:]
             offset = first * num_tasks

@@ -3,9 +3,13 @@
 Stage 1 plays sphere-uniform actions on every task, forms a moment
 estimate of each task coefficient, stacks them into a ``(dim, num_tasks)``
 matrix and takes its top-``rep_dim`` left singular vectors as the shared
-subspace.  Stage 2 plays each estimated basis column for a fixed block per
-task and solves a least-squares problem for the low-dimensional weights.
-Stage 3 commits to the greedy unit-ball action for the rest of the horizon.
+subspace.  The estimate needs only per-task statistics, so Stage 1 streams:
+each task's batch is reduced to its column inside the sampling loop and
+then dropped, and memory holds the ``(num_tasks, t1)`` regrets plus one
+batch, not the ``(num_tasks, t1, dim)`` actions.  Stage 2 plays each
+estimated basis column for a fixed block per task and solves a
+least-squares problem for the low-dimensional weights.  Stage 3 commits to
+the greedy unit-ball action for the rest of the horizon.
 
 The three-stage skeleton is shared with the squared-covariance variant in
 :mod:`lowrank_bandits.baselines`; only the Stage-1 subspace estimator
@@ -14,6 +18,7 @@ differs, so paired runs with a common seed isolate the estimator's effect.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,6 +40,10 @@ from .linalg import (
     subspace_distance,
     top_k_left_singular_vectors,
 )
+
+PerTask = Callable[[int, np.ndarray, np.ndarray], None]  # Stage 1's (task, acts, rewards)
+Collect = Callable[[PerTask], None]  # one run's Stage 1, streaming each batch to a PerTask
+Column = Callable[[np.ndarray, np.ndarray], np.ndarray]  # one task's estimate from its batch
 
 
 def resolve_budgets(
@@ -80,20 +89,29 @@ def moment_estimate_theta(
 
 
 def collect_stage1_samples(
-    instance: BanditInstance, t1: int, rng: np.random.Generator, ledger: RegretLedger
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere-uniform exploration on every task: actions (M, t1, d), rewards (M, t1)."""
+    instance: BanditInstance,
+    t1: int,
+    rng: np.random.Generator,
+    ledger: RegretLedger,
+    per_task: PerTask,
+) -> None:
+    """Sphere-uniform exploration on every task, streamed one task at a time.
+
+    Each task's ``(t1, dim)`` batch is drawn, pulled and charged, then
+    handed to ``per_task(task, acts, rewards)`` and dropped, so memory holds
+    one batch, not ``num_tasks * t1 * dim`` actions.  Per task the generator
+    draws ``t1 * dim`` sphere normals, then ``t1`` noise normals.  The
+    ``(num_tasks, t1)`` regret matrix is kept and recorded once, after the
+    last task: the step-major record needs every task's regret at each step.
+    """
     num_tasks, dim = instance.num_tasks, instance.dim
-    actions = np.empty((num_tasks, t1, dim))
-    rewards = np.empty((num_tasks, t1))
     regrets = np.empty((num_tasks, t1))
     for task in range(num_tasks):
         acts = sample_unit_sphere_many(dim, t1, rng)
-        actions[task] = acts
-        rewards[task] = pull_many(instance, task, acts, rng)
+        rewards = pull_many(instance, task, acts, rng)
         regrets[task] = instant_regret_many(instance, task, acts)
+        per_task(task, acts, rewards)
     ledger.record_interleaved(regrets)
-    return actions, rewards
 
 
 def moment_theta_matrix(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
@@ -102,11 +120,21 @@ def moment_theta_matrix(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
     return (dim / t1) * np.einsum("mtd,mt->dm", actions, rewards)
 
 
-def _rectangular_subspace(
-    actions: np.ndarray, rewards: np.ndarray, rep_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    theta_hat = moment_theta_matrix(actions, rewards)
-    return theta_hat, top_k_left_singular_vectors(theta_hat, rep_dim)
+def _theta_matrix(instance: BanditInstance, collect: Collect, column: Column) -> np.ndarray:
+    """``(dim, num_tasks)`` matrix whose column ``task`` is ``column(acts, rewards)``
+    of that task's batch, filled while ``collect(per_task)`` streams Stage 1."""
+    theta_hat = np.empty((instance.dim, instance.num_tasks))
+
+    def per_task(task, acts, rewards):
+        theta_hat[:, task] = column(acts, rewards)
+
+    collect(per_task)
+    return theta_hat
+
+
+def _moment_column(acts: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+    """One task's ``moment_theta_matrix`` column, bit for bit as the batched call."""
+    return moment_theta_matrix(acts[None], rewards[None])[:, 0]
 
 
 def _require_noiseless(instance: BanditInstance) -> None:
@@ -114,26 +142,22 @@ def _require_noiseless(instance: BanditInstance) -> None:
         raise ConfigError("noiseless_oracle: requires noise_std == 0")
 
 
-def _oracle_theta_matrix(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-    """Exact per-task least squares over Stage-1 actions (noiseless runs only)."""
-    num_tasks, t1, dim = actions.shape
-    if t1 < dim:
+def _oracle_column(instance: BanditInstance, t1: int) -> Column:
+    """Exact least squares per batch (noiseless runs only).  ``t1 < dim``
+    raises here, before Stage 1 draws a sample."""
+    if t1 < instance.dim:
         raise ConfigError(
-            f"noiseless_oracle: needs t1 >= dim, got t1={t1}, dim={dim}"
+            f"noiseless_oracle: needs t1 >= dim, got t1={t1}, dim={instance.dim}"
         )
-    theta_hat = np.empty((dim, num_tasks))
-    for task in range(num_tasks):
-        theta_hat[:, task] = np.linalg.lstsq(
-            actions[task], rewards[task], rcond=None
-        )[0]
-    return theta_hat
+    return lambda acts, rewards: np.linalg.lstsq(acts, rewards, rcond=None)[0]
 
 
-def _oracle_subspace(
-    actions: np.ndarray, rewards: np.ndarray, rep_dim: int
+def _rectangular_subspace(
+    instance: BanditInstance, t1: int, collect: Collect, noiseless_oracle: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    theta_hat = _oracle_theta_matrix(actions, rewards)
-    return theta_hat, top_k_left_singular_vectors(theta_hat, rep_dim)
+    column = _oracle_column(instance, t1) if noiseless_oracle else _moment_column
+    theta_hat = _theta_matrix(instance, collect, column)
+    return theta_hat, top_k_left_singular_vectors(theta_hat, instance.rep_dim)
 
 
 def stage2_per_task(
@@ -205,17 +229,19 @@ def _run_three_stage(
     instance: BanditInstance,
     rng: np.random.Generator | None,
     trace_stride: int,
-    subspace_estimator: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray | None, np.ndarray]],
+    subspace_estimator: Callable[
+        [BanditInstance, int, Collect], tuple[np.ndarray | None, np.ndarray]
+    ],
 ) -> tuple[RegretLedger, MtrlDiagnostics]:
-    """Shared skeleton: Stage 1 with a pluggable subspace estimator, then 2 and 3."""
+    """Shared skeleton: Stage 1 through a pluggable subspace estimator, then 2 and 3."""
     rng = rng if rng is not None else np.random.default_rng(0)
     t1, t2, block = resolve_budgets(
         instance.dim, instance.rep_dim, instance.num_tasks, instance.horizon
     )
     ledger = RegretLedger(instance.num_tasks, trace_stride)
 
-    actions, rewards = collect_stage1_samples(instance, t1, rng, ledger)
-    theta_hat, basis_hat = subspace_estimator(actions, rewards, instance.rep_dim)
+    collect = functools.partial(collect_stage1_samples, instance, t1, rng, ledger)
+    theta_hat, basis_hat = subspace_estimator(instance, t1, collect)
     stage1_regret = ledger.total
 
     weights_hat = stage2_per_task(instance, basis_hat, block, rng, ledger)
@@ -255,5 +281,5 @@ def run_mtrl(
     """
     if noiseless_oracle:
         _require_noiseless(instance)
-    estimator = _oracle_subspace if noiseless_oracle else _rectangular_subspace
+    estimator = functools.partial(_rectangular_subspace, noiseless_oracle=noiseless_oracle)
     return _run_three_stage(instance, rng, trace_stride, estimator)

@@ -53,9 +53,12 @@ def stage1_estimator_errors(t1, seed, dim=10, rep_dim=2, num_tasks=25):
     spec = InstanceSpec(dim, rep_dim, num_tasks, 10_000, 1.0, seed=10_000 + seed)
     instance = generate_instance(spec)
     ledger = RegretLedger(num_tasks, 0)
-    actions, rewards = collect_stage1_samples(
-        instance, t1, np.random.default_rng(20_000 + seed), ledger
+    batches = []
+    collect_stage1_samples(
+        instance, t1, np.random.default_rng(20_000 + seed), ledger,
+        lambda task, *batch: batches.append(batch),
     )
+    actions, rewards = (np.stack(parts) for parts in zip(*batches))
     rect = top_k_left_singular_vectors(moment_theta_matrix(actions, rewards), rep_dim)
     squared = e2tc_squared_estimator(actions, rewards, dim, rep_dim)
     return (

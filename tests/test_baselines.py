@@ -76,9 +76,12 @@ class TestSquaredEstimator:
             errors = []
             for seed in range(20):
                 inst = make_instance(seed=10_000 + seed, num_tasks=25, horizon=10_000)
-                actions, rewards = collect_stage1_samples(
-                    inst, t1, np.random.default_rng(20_000 + seed), RegretLedger(25, 0)
+                batches = []
+                collect_stage1_samples(
+                    inst, t1, np.random.default_rng(20_000 + seed), RegretLedger(25, 0),
+                    lambda task, *batch: batches.append(batch),
                 )
+                actions, rewards = (np.stack(parts) for parts in zip(*batches))
                 basis = e2tc_squared_estimator(actions, rewards, inst.dim, inst.rep_dim)
                 errors.append(subspace_distance(basis, inst.basis))
             medians[t1] = float(np.median(errors))

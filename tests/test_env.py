@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,29 @@ class TestOracleBoundary:
             ORACLES[oracle](inst, task, action)
         assert type(caught.value) is error
         ORACLES[oracle](inst, 0, np.eye(inst.dim)[0])  # the same call with good input passes
+
+    @pytest.mark.parametrize("shape", ["(1, d)", "(d, 1)", "(2, d)"])
+    @pytest.mark.parametrize("oracle", sorted(set(ORACLES) - BATCH_ORACLES))
+    def test_one_action_oracles_reject_other_shapes(self, oracle, shape):
+        inst = small_instance()
+        rows = np.eye(inst.dim)[:2] / 2  # unit-ball rows: only the shape is wrong
+        action = {"(1, d)": rows[:1], "(d, 1)": rows[:1].T, "(2, d)": rows}[shape]
+        with pytest.raises(ValueError, match=re.escape(f"got shape {action.shape}")):
+            ORACLES[oracle](inst, 0, action)
+        ORACLES[oracle](inst, 0, rows[0])  # the same call with one action passes
+
+    def test_strided_action_keeps_its_bits(self):
+        # A basis column is a strided view; the oracle must give the bits of
+        # its contiguous copy.  With one task, theta is contiguous too, and
+        # the dot product's bits then depend on the action's layout.
+        inst = small_instance(dim=13, seed=4, rep_dim=1, num_tasks=1)
+        columns = np.linalg.qr(np.random.default_rng(6).standard_normal((13, 13)))[0]
+        for j in range(13):
+            column = columns[:, j]
+            expected = instant_regret(inst, 0, column.copy())
+            assert instant_regret(inst, 0, column).hex() == expected.hex()
+            _, regret = pull_block_mean(inst, 0, column, 5, np.random.default_rng(j))
+            assert regret.hex() == expected.hex()
 
     SHAPES = [(oracle, "one") for oracle in sorted(ORACLES)] + [
         (oracle, "batch") for oracle in sorted(BATCH_ORACLES)
@@ -515,6 +539,18 @@ class TestTraceSegments:
         assert peak < 16 * 2**10  # the 2**20 trace points alone are 16 MB
         ts, cums = ledger.trace()
         assert ts.size == 1 << 20 and cums[-1] == ledger.total
+
+    def test_matrix_record_copies_no_matrix(self):
+        regrets = np.random.default_rng(8).uniform(0, 2, size=(400, 5000))  # 16 MB
+        ledger = RegretLedger(400, trace_stride=0)
+        tracemalloc.start()
+        try:
+            ledger.record_interleaved(regrets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # a chunk buffer and one chunk's columns, ~0.5 MB each
+        assert ledger.total == np.cumsum(regrets.T.ravel())[-1]
 
     def test_in_range_values_are_not_copied(self):
         values = np.random.default_rng(5).uniform(0, 2, size=(4, 6))

@@ -54,17 +54,29 @@ def make_instance(noise_std=1.0, seed=0, dim=10, rep_dim=2, num_tasks=25, horizo
 
 
 def stage1_basis(inst, t1, rng, ledger):
-    """Stage 1 as ``run_mtrl`` runs it: explore, stack moment estimates, top-k SVD."""
-    actions, rewards = collect_stage1_samples(inst, t1, rng, ledger)
-    return top_k_left_singular_vectors(moment_theta_matrix(actions, rewards), inst.rep_dim)
+    """Stage 1 as ``run_mtrl`` runs it: stream each batch into its moment
+    estimate column, then top-k SVD."""
+    theta_hat = np.empty((inst.dim, inst.num_tasks))
+
+    def per_task(task, acts, rewards):
+        theta_hat[:, task] = moment_theta_matrix(acts[None], rewards[None])[:, 0]
+
+    collect_stage1_samples(inst, t1, rng, ledger, per_task)
+    return top_k_left_singular_vectors(theta_hat, inst.rep_dim)
 
 
 class TestStage1:
     def test_accounting(self):
         inst = make_instance(horizon=500)
         ledger = RegretLedger(inst.num_tasks, 0)
-        collect_stage1_samples(inst, 40, np.random.default_rng(1), ledger)
+        calls = []
+
+        def per_task(task, acts, rewards):
+            calls.append((task, acts.shape, rewards.shape))
+
+        collect_stage1_samples(inst, 40, np.random.default_rng(1), ledger, per_task)
         assert ledger.num_pulls == inst.num_tasks * 40
+        assert calls == [(task, (40, inst.dim), (40,)) for task in range(inst.num_tasks)]
 
     def test_heavy_noise_destroys_the_subspace(self):
         errors = []
@@ -79,11 +91,18 @@ class TestStage1:
     def test_moment_matrix_matches_per_task_estimates(self):
         inst = make_instance(seed=5, horizon=500)
         ledger = RegretLedger(inst.num_tasks, 0)
-        actions, rewards = collect_stage1_samples(inst, 30, np.random.default_rng(2), ledger)
+        batches = []
+        collect_stage1_samples(
+            inst, 30, np.random.default_rng(2), ledger, lambda task, *batch: batches.append(batch)
+        )
+        actions, rewards = (np.stack(parts) for parts in zip(*batches))
         stacked = moment_theta_matrix(actions, rewards)
         for task in range(inst.num_tasks):
             single = moment_estimate_theta(actions[task], rewards[task], inst.dim)
             assert np.allclose(stacked[:, task], single, atol=1e-12)
+            # the column run_mtrl writes from one streamed batch: same bits
+            streamed = moment_theta_matrix(actions[task][None], rewards[task][None])[:, 0]
+            assert np.array_equal(streamed, stacked[:, task])
 
 
 class TestStage2:
