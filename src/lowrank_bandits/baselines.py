@@ -1,15 +1,15 @@
 """Comparison algorithms: the independent per-task baseline and the
 squared-covariance estimator variant of the three-stage algorithm.
 
-The squared-covariance variant reuses the exact Stage-2/Stage-3 code and
-budgets of :func:`lowrank_bandits.mtrl.run_mtrl`; only the Stage-1 subspace
-estimator is swapped.  Running both on the same seed therefore attributes
-any regret difference to the estimator alone.
+The squared-covariance variant reuses the Stage-2/Stage-3 code and budgets
+of :func:`lowrank_bandits.mtrl.run_mtrl` and swaps only the Stage-1 subspace
+estimator, so a common seed attributes any regret difference to it.  The
+independent baseline's Stage 1 is mtrl's, with ``moment_estimate_theta`` as
+each task's column.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -18,13 +18,10 @@ from .env import BanditInstance, RegretLedger
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .env import instant_regret  # noqa: F401
 from .mtrl import (
-    Collect,
     MtrlDiagnostics,
-    collect_stage1_samples,
-    _oracle_column,
-    _require_noiseless,
     _run_three_stage,
-    _theta_matrix,
+    _stage1_theta_hat,
+    collect_stage1_samples,
     moment_estimate_theta,
     stage3_commit,
 )
@@ -70,28 +67,13 @@ def e2tc_squared_estimator(
     return np.ascontiguousarray(vecs[:, ::-1][:, :rep_dim])
 
 
-def _squared_subspace(
-    instance: BanditInstance, t1: int, collect: Collect
-) -> tuple[None, np.ndarray]:
-    """Keeps every batch: the pooled einsum sums over (m, t) in one chain,
-    and per-task partial sums would change its bits."""
-    actions = np.empty((instance.num_tasks, t1, instance.dim))
-    rewards = np.empty((instance.num_tasks, t1))
-
-    def keep(task, acts, task_rewards):
-        actions[task], rewards[task] = acts, task_rewards
-
-    collect(keep)
-    return None, e2tc_squared_estimator(actions, rewards, instance.dim, instance.rep_dim)
-
-
 def run_e2tc(
     instance: BanditInstance,
     rng: np.random.Generator | None = None,
     trace_stride: int = 0,
 ) -> tuple[RegretLedger, MtrlDiagnostics]:
     """Three-stage run with the squared-covariance Stage-1 estimator."""
-    return _run_three_stage(instance, rng, trace_stride, _squared_subspace)
+    return _run_three_stage(instance, rng, trace_stride, pooled_estimator=e2tc_squared_estimator)
 
 
 def independent_exploration_budget(dim: int, horizon: int) -> int:
@@ -118,21 +100,12 @@ def run_independent_etc(
     details.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    if noiseless_oracle:
-        _require_noiseless(instance)
     num_tasks, dim, horizon = instance.num_tasks, instance.dim, instance.horizon
-    explore = independent_exploration_budget(dim, horizon)
+    explore = independent_exploration_budget(dim, horizon)  # 0 at horizon 1: commit blind
     ledger = RegretLedger(num_tasks, trace_stride)
-
-    if explore == 0:  # horizon 1: nothing to learn from, commit blind
-        theta_hats = np.zeros((dim, num_tasks))
-    else:
-        if noiseless_oracle:
-            column = _oracle_column(instance, explore)
-        else:
-            column = functools.partial(moment_estimate_theta, dim=dim)
-        collect = functools.partial(collect_stage1_samples, instance, explore, rng, ledger)
-        theta_hats = _theta_matrix(instance, collect, column)
-
+    theta_hats = _stage1_theta_hat(
+        instance, explore, rng, ledger, noiseless_oracle, collect_stage1_samples,
+        lambda acts, rewards: moment_estimate_theta(acts, rewards, dim),
+    )
     stage3_commit(instance, theta_hats, horizon - explore, ledger)
     return ledger, None

@@ -159,7 +159,7 @@ def _mean_rewards(
     if actions.shape[-1] != instance.dim:
         raise ValueError(f"action dimension {actions.shape[-1]} != {instance.dim}")
     if actions.ndim == 1:
-        squared = actions @ actions
+        squared = np.vdot(actions, actions)  # `@` would warn when a square overflows
     else:
         squared = np.einsum("ij,ij->i", actions, actions).max(initial=0.0)
     worst = math.sqrt(squared)  # inf when an entry's square overflows, NaN when one is NaN
@@ -284,12 +284,6 @@ class RegretLedger:
                 return values
         return np.clip(values, 0.0, 2.0)
 
-    def _checkpoints(self, count: int) -> np.ndarray:
-        """Pull indices in (num_pulls, num_pulls + count] hitting the stride grid."""
-        stride = self.trace_stride
-        first = ((self.num_pulls // stride) + 1) * stride
-        return np.arange(first, self.num_pulls + count + 1, stride)
-
     def record_block(self, task: int, value: float, count: int) -> None:
         """Account ``count`` pulls of one task at per-pull regret ``value``.
 
@@ -340,10 +334,10 @@ class RegretLedger:
             return
         rows = min(steps, max(1, INTERLEAVED_CHUNK // num_tasks))  # steps per chunk
         buf = np.empty(rows * num_tasks + 1)  # [carry, chunk...], cumulated in place
-        if self.trace_stride:
-            ts = self._checkpoints(count)
-            idx = ts - self.num_pulls - 1  # offsets into this call's sequence
-            picked = np.empty(ts.size)
+        if self.trace_stride:  # the stride grid's pulls, as offsets into this call's sequence
+            stride = self.trace_stride
+            idx = np.arange(stride - 1 - self.num_pulls % stride, count, stride)
+            picked = np.empty(idx.size)
         carry, done = 0.0, 0
         for first in range(0, steps, rows):
             last = min(first + rows, steps)

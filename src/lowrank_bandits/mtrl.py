@@ -1,15 +1,14 @@
 """Three-stage multi-task bandit algorithm with a rectangular subspace estimator.
 
-Stage 1 plays sphere-uniform actions on every task, forms a moment
-estimate of each task coefficient, stacks them into a ``(dim, num_tasks)``
-matrix and takes its top-``rep_dim`` left singular vectors as the shared
-subspace.  The estimate needs only per-task statistics, so Stage 1 streams:
-each task's batch is reduced to its column inside the sampling loop and
-then dropped, and memory holds the ``(num_tasks, t1)`` regrets plus one
-batch, not the ``(num_tasks, t1, dim)`` actions.  Stage 2 plays each
-estimated basis column for a fixed block per task and solves a
-least-squares problem for the low-dimensional weights.  Stage 3 commits to
-the greedy unit-ball action for the rest of the horizon.
+Stage 1 plays sphere-uniform actions on every task, forms a moment estimate
+of each task coefficient, stacks them into a ``(dim, num_tasks)`` matrix and
+takes its top-``rep_dim`` left singular vectors as the shared subspace.  One
+helper, ``_stage1_theta_hat``, fills that matrix column by column while
+``collect_stage1_samples`` streams each task's batch, so memory holds the
+``(num_tasks, t1)`` regrets plus one batch; the independent baseline calls
+it too.  Stage 2 plays each estimated basis column for a fixed block per
+task and solves a least-squares problem for the low-dimensional weights.
+Stage 3 commits to the greedy unit-ball action for the rest of the horizon.
 
 The three-stage skeleton is shared with the squared-covariance variant in
 :mod:`lowrank_bandits.baselines`; only the Stage-1 subspace estimator
@@ -18,7 +17,6 @@ differs, so paired runs with a common seed isolate the estimator's effect.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,10 +38,6 @@ from .linalg import (
     subspace_distance,
     top_k_left_singular_vectors,
 )
-
-PerTask = Callable[[int, np.ndarray, np.ndarray], None]  # Stage 1's (task, acts, rewards)
-Collect = Callable[[PerTask], None]  # one run's Stage 1, streaming each batch to a PerTask
-Column = Callable[[np.ndarray, np.ndarray], np.ndarray]  # one task's estimate from its batch
 
 
 def resolve_budgets(
@@ -120,44 +114,42 @@ def moment_theta_matrix(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
     return (dim / t1) * np.einsum("mtd,mt->dm", actions, rewards)
 
 
-def _theta_matrix(instance: BanditInstance, collect: Collect, column: Column) -> np.ndarray:
-    """``(dim, num_tasks)`` matrix whose column ``task`` is ``column(acts, rewards)``
-    of that task's batch, filled while ``collect(per_task)`` streams Stage 1."""
-    theta_hat = np.empty((instance.dim, instance.num_tasks))
+def _stage1_theta_hat(
+    instance: BanditInstance,
+    t1: int,
+    rng: np.random.Generator,
+    ledger: RegretLedger,
+    noiseless_oracle: bool,
+    collect: Callable[..., None],
+    moment: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Stage 1 of mtrl and independent: the ``(dim, num_tasks)`` per-task estimates.
 
-    def per_task(task, acts, rewards):
-        theta_hat[:, task] = column(acts, rewards)
-
-    collect(per_task)
-    return theta_hat
-
-
-def _moment_column(acts: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-    """One task's ``moment_theta_matrix`` column, bit for bit as the batched call."""
-    return moment_theta_matrix(acts[None], rewards[None])[:, 0]
-
-
-def _require_noiseless(instance: BanditInstance) -> None:
-    if instance.noise_std != 0:
+    Column ``task`` is ``moment(acts, rewards)`` of the task's batch, or its
+    exact least squares with ``noiseless_oracle``, filled while ``collect``
+    (``collect_stage1_samples``) streams.  Both come from the caller's module,
+    whose bindings the benchmark tracer wraps.  The noiseless-oracle rules
+    raise before a sample is drawn; ``t1 == 0`` draws nothing and leaves
+    every column zero, so the run commits blind.
+    """
+    if noiseless_oracle and instance.noise_std != 0:
         raise ConfigError("noiseless_oracle: requires noise_std == 0")
-
-
-def _oracle_column(instance: BanditInstance, t1: int) -> Column:
-    """Exact least squares per batch (noiseless runs only).  ``t1 < dim``
-    raises here, before Stage 1 draws a sample."""
-    if t1 < instance.dim:
+    theta_hat = np.zeros((instance.dim, instance.num_tasks))
+    if t1 == 0:
+        return theta_hat
+    if noiseless_oracle and t1 < instance.dim:
         raise ConfigError(
             f"noiseless_oracle: needs t1 >= dim, got t1={t1}, dim={instance.dim}"
         )
-    return lambda acts, rewards: np.linalg.lstsq(acts, rewards, rcond=None)[0]
 
+    def per_task(task, acts, rewards):
+        if noiseless_oracle:
+            theta_hat[:, task] = np.linalg.lstsq(acts, rewards, rcond=None)[0]
+        else:
+            theta_hat[:, task] = moment(acts, rewards)
 
-def _rectangular_subspace(
-    instance: BanditInstance, t1: int, collect: Collect, noiseless_oracle: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    column = _oracle_column(instance, t1) if noiseless_oracle else _moment_column
-    theta_hat = _theta_matrix(instance, collect, column)
-    return theta_hat, top_k_left_singular_vectors(theta_hat, instance.rep_dim)
+    collect(instance, t1, rng, ledger, per_task)
+    return theta_hat
 
 
 def stage2_per_task(
@@ -229,19 +221,37 @@ def _run_three_stage(
     instance: BanditInstance,
     rng: np.random.Generator | None,
     trace_stride: int,
-    subspace_estimator: Callable[
-        [BanditInstance, int, Collect], tuple[np.ndarray | None, np.ndarray]
-    ],
+    noiseless_oracle: bool = False,
+    pooled_estimator: Callable[..., np.ndarray] | None = None,
 ) -> tuple[RegretLedger, MtrlDiagnostics]:
-    """Shared skeleton: Stage 1 through a pluggable subspace estimator, then 2 and 3."""
+    """Shared skeleton of mtrl and e2tc: Stage 1, then Stages 2 and 3.
+
+    Stage 1 takes the top left singular vectors of ``_stage1_theta_hat``, or
+    keeps every batch for ``pooled_estimator(actions, rewards, dim, rep_dim)``:
+    e2tc's einsum sums over (task, step) in one chain, and per-task partial
+    sums would change its bits.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     t1, t2, block = resolve_budgets(
         instance.dim, instance.rep_dim, instance.num_tasks, instance.horizon
     )
     ledger = RegretLedger(instance.num_tasks, trace_stride)
 
-    collect = functools.partial(collect_stage1_samples, instance, t1, rng, ledger)
-    theta_hat, basis_hat = subspace_estimator(instance, t1, collect)
+    if pooled_estimator is None:
+        theta_hat = _stage1_theta_hat(
+            instance, t1, rng, ledger, noiseless_oracle, collect_stage1_samples,
+            lambda acts, rewards: moment_theta_matrix(acts[None], rewards[None])[:, 0],
+        )
+        basis_hat = top_k_left_singular_vectors(theta_hat, instance.rep_dim)
+    else:
+        actions = np.empty((instance.num_tasks, t1, instance.dim))
+        rewards = np.empty((instance.num_tasks, t1))
+
+        def keep(task, acts, task_rewards):
+            actions[task], rewards[task] = acts, task_rewards
+
+        collect_stage1_samples(instance, t1, rng, ledger, keep)
+        theta_hat, basis_hat = None, pooled_estimator(actions, rewards, instance.dim, instance.rep_dim)
     stage1_regret = ledger.total
 
     weights_hat = stage2_per_task(instance, basis_hat, block, rng, ledger)
@@ -279,7 +289,4 @@ def run_mtrl(
     deterministic exact-recovery regression path; the default path always
     uses the moment estimator.
     """
-    if noiseless_oracle:
-        _require_noiseless(instance)
-    estimator = functools.partial(_rectangular_subspace, noiseless_oracle=noiseless_oracle)
-    return _run_three_stage(instance, rng, trace_stride, estimator)
+    return _run_three_stage(instance, rng, trace_stride, noiseless_oracle)

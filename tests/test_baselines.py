@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from lowrank_bandits import baselines, mtrl
 from lowrank_bandits.baselines import (
     e2tc_squared_estimator,
     independent_exploration_budget,
@@ -154,3 +157,46 @@ class TestIndependentBaseline:
         inst = make_instance(noise_std=1.0, seed=14)
         with pytest.raises(ConfigError):
             run_independent_etc(inst, np.random.default_rng(0), noiseless_oracle=True)
+
+
+class TestHorizonOne:
+    """Independent at horizon 1 has no exploration budget and commits blind."""
+
+    @pytest.mark.parametrize(
+        "noise_std,options", [(1.0, {}), (0.0, {"noiseless_oracle": True})], ids=["moment", "oracle"]
+    )
+    def test_commits_blind_without_sampling(self, noise_std, options):
+        inst = make_instance(noise_std=noise_std, seed=21, horizon=1)
+        assert independent_exploration_budget(inst.dim, inst.horizon) == 0
+        rng = np.random.default_rng(4)
+        ledger, _ = run_independent_etc(inst, rng, 1, **options)
+        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+        assert ledger.num_pulls == inst.num_tasks
+        # the blind action is the first standard basis vector
+        assert np.array_equal(ledger.per_task, 1.0 - inst.thetas[0])
+
+
+class TestNoiselessOracleRequiresNoiseless:
+    """A noisy instance with the noiseless oracle raises before any pull or draw."""
+
+    @pytest.mark.parametrize(
+        "module,run,horizon",
+        [(mtrl, run_mtrl, 2000), (baselines, run_independent_etc, 2000), (baselines, run_independent_etc, 1)],
+        ids=["mtrl", "independent", "independent_horizon_1"],
+    )
+    def test_raises_before_sampling(self, monkeypatch, module, run, horizon):
+        ledgers = []
+
+        class Spy(RegretLedger):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                ledgers.append(self)
+
+        monkeypatch.setattr(module, "RegretLedger", Spy)
+        inst = make_instance(noise_std=1.0, seed=22, horizon=horizon)
+        rng = np.random.default_rng(5)
+        message = re.escape("noiseless_oracle: requires noise_std == 0")
+        with pytest.raises(ConfigError, match=message):
+            run(inst, rng, 0, noiseless_oracle=True)
+        assert all(ledger.num_pulls == 0 for ledger in ledgers)
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state

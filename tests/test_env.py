@@ -278,7 +278,7 @@ class TestOracleBoundary:
         with pytest.raises(InfeasibleActionError, match="exceeds the unit ball"):
             ORACLES[oracle](inst, 0, self.shaped(inst, outside, shape))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")  # rejected with the error alone, no overflow warning
     @pytest.mark.parametrize("entry", [np.inf, -np.inf, 1e200])  # 1e200**2 overflows
     @pytest.mark.parametrize("oracle,shape", SHAPES)
     def test_huge_entries_rejected(self, oracle, shape, entry):
@@ -551,6 +551,26 @@ class TestTraceSegments:
             tracemalloc.stop()
         assert peak < 2 * 2**20  # a chunk buffer and one chunk's columns, ~0.5 MB each
         assert ledger.total == np.cumsum(regrets.T.ravel())[-1]
+
+    def test_matrix_record_builds_one_offset_array(self):
+        # 3M entries at stride 3, one pull already recorded: 1M trace points,
+        # whose picked sums and offsets take 8 MB each.  A third trace-sized
+        # array (the checkpoint pull counts) would push the peak past the bound.
+        regrets = np.random.default_rng(9).uniform(0, 2, size=(100, 30_000))
+        ledger = RegretLedger(100, trace_stride=3)
+        ledger.record_block(7, 0.25, 1)
+        tracemalloc.start()
+        try:
+            ledger.record_interleaved(regrets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        points = regrets.size // 3
+        assert peak < 2 * 8 * points + 2 * 2**20
+        partial = np.cumsum(regrets.T.ravel())
+        ts, cums = ledger.trace()
+        assert np.array_equal(ts[:points], np.arange(3, regrets.size + 2, 3))
+        assert cums[:points].tobytes() == (0.25 + partial[1::3]).tobytes()
 
     def test_in_range_values_are_not_copied(self):
         values = np.random.default_rng(5).uniform(0, 2, size=(4, 6))

@@ -231,6 +231,13 @@ class TestRunLll:
         with pytest.raises(HorizonTooShortError):
             run_lll(inst, np.random.default_rng(14), mode="regret")
 
+    def test_regret_mode_stage1_overrun_raises(self):
+        # epsilon < 1, but the first task's stage-1 budget alone exceeds the horizon
+        inst = generate_instance(InstanceSpec(2, 2, 4, 12, 1.0, 0))
+        message = "task 3: stage-1 exploration needs 24 pulls, horizon is 12"
+        with pytest.raises(HorizonTooShortError, match=message):
+            run_lll(inst, np.random.default_rng(0), mode="regret")
+
     @pytest.mark.parametrize("horizon", [1, 5, 12])
     def test_regret_mode_epsilon_of_one_raises(self, horizon):
         # Derived epsilon >= 1: the norm test ||theta|| <= 1 - epsilon cannot
