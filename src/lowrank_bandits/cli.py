@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import ConfigError
-from .harness import ALGORITHMS, OUTPUT_FORMATS, ExperimentConfig, compare, run_experiment
+from .harness import ALGORITHMS, ExperimentConfig, compare, run_experiment
 from .lll import LOG_ARGS, MODES
 
 _COMPARE_DEFAULT = "mtrl,e2tc,independent"  # the algorithms compare runs when none are named
@@ -36,7 +36,6 @@ _OPTIONS = [
     ("--out-dir", "out_dir", {"type": str}, "output directory for result files"),
     ("--mode", "mode", {"choices": MODES}, "lll objective"),
     ("--log-arg", "log_arg", {"choices": LOG_ARGS}, "lll confidence log factor: log(2dM/delta) or log(2/delta)"),
-    ("--format", "output_format", {"choices": OUTPUT_FORMATS}, "curves output format"),
     ("--noiseless-oracle", "noiseless_oracle", {"action": "store_true"}, "exact least-squares estimates (requires --noise-std 0)"),
 ]
 

@@ -23,8 +23,7 @@ builds no trace point.
 Output files (schemas fixed):
 
 * curves: CSV header ``algo,d,k,M,T,noise_std,seed,t,cum_regret`` — one
-  row per trace point per replicate.  In JSON, the same rows as objects
-  keyed by the header, whose values are the CSV field strings.
+  row per trace point per replicate.
 * per-task (lifelong runs only): CSV header
   ``algo,d,k,M,T,seed,task,task_regret,entered_stage2,tau_after,samples_used``.
 * summary: a structured JSON document.
@@ -78,7 +77,6 @@ ALGORITHMS = {
     "independent": ("run_independent_etc", ("noiseless_oracle",)),
     "lll": ("run_lll", ("mode", "epsilon", "delta", "log_arg")),
 }
-OUTPUT_FORMATS = ("csv", "json")
 WORKERS_ENV_VAR = "LOWRANK_BANDITS_WORKERS"
 
 CURVES_HEADER = ["algo", "d", "k", "M", "T", "noise_std", "seed", "t", "cum_regret"]
@@ -123,7 +121,6 @@ class ExperimentConfig:
     master_seed: int = 0
     trace_stride: int = 10
     out_dir: str | None = None
-    output_format: str = "csv"
 
     def instance_spec(self) -> InstanceSpec:
         return InstanceSpec(
@@ -160,23 +157,14 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
         if self.trace_stride < 0:
             raise ConfigError(f"trace_stride: must be >= 0, got {self.trace_stride}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(
-                f"output_format: must be one of {OUTPUT_FORMATS}, "
-                f"got {self.output_format!r}"
-            )
         # summary.json echoes the lifelong options for every algorithm
         check_options(
             self.mode, self.log_arg, self.delta, self.epsilon, self.dim, self.num_tasks,
             lifelong="epsilon" in options,
         )
-        if self.noiseless_oracle:
-            if self.noise_std != 0:
-                raise ConfigError("noiseless_oracle: requires noise_std == 0")
-            if "noiseless_oracle" not in options:
-                raise ConfigError(
-                    f"noiseless_oracle: not supported for {self.algorithm!r}"
-                )
+        # mtrl._stage1_theta_hat checks noise_std == 0 and t1 >= dim before the first draw.
+        if self.noiseless_oracle and "noiseless_oracle" not in options:
+            raise ConfigError(f"noiseless_oracle: not supported for {self.algorithm!r}")
 
 
 def replicate_seed_sequences(
@@ -317,7 +305,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        jobs = _record_jobs(out_dir, "", config, records)
+        jobs = _record_jobs(out_dir, "", records)
         points = _curve_points([records])
         jobs.append((out_dir / "summary.json", _summary_json_text, (config, records), points))
         written = _write_files(jobs)
@@ -448,7 +436,7 @@ def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
         out.mkdir(parents=True, exist_ok=True)
         jobs = [(out / "comparison.json", _json_text, (table,), _curve_points(all_records))]
         for idx, (cfg, records) in enumerate(zip(configs, all_records)):
-            jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", cfg, records)
+            jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", records)
         written = _write_files(jobs)
     return table, written
 
@@ -493,14 +481,11 @@ def _curve_points(record_sets: list[list[RunRecord]]) -> int:
     return sum(records[0].trace_size for records in record_sets if _shares_grid(records))
 
 
-def _record_jobs(
-    out_dir: Path, suffix: str, config: ExperimentConfig, records: list[RunRecord]
-) -> list[WriteJob]:
-    """Write jobs for the curves in ``config.output_format`` and, for records
-    with per-task columns, the per-task CSV."""
-    curves_text = _curves_csv_text if config.output_format == "csv" else _curves_json_text
+def _record_jobs(out_dir: Path, suffix: str, records: list[RunRecord]) -> list[WriteJob]:
+    """Write jobs for the curves CSV and, for records with per-task columns,
+    the per-task CSV."""
     rows = sum(r.trace_size for r in records)
-    jobs = [(out_dir / f"curves{suffix}.{config.output_format}", curves_text, (records,), rows)]
+    jobs = [(out_dir / f"curves{suffix}.csv", _curves_csv_text, (records,), rows)]
     if records[0].per_task_regret is not None:
         rows = sum(r.per_task_regret.size for r in records)
         jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (records,), rows))
@@ -536,15 +521,13 @@ def _write_files(jobs: list[WriteJob]) -> list[Path]:
     return results
 
 
-def _curve_fields(r: RunRecord) -> list[str]:
-    """The fields every curves row of ``r`` repeats: ``CURVES_HEADER`` up to ``seed``."""
-    return [r.algorithm, r.dim, r.rep_dim, r.num_tasks, r.horizon, fmt(r.noise_std), r.seed_index]
-
-
 def _curves_csv_text(records: list[RunRecord]) -> str:
     chunks = [",".join(CURVES_HEADER) + "\n"]
     for r in records:
-        prefix = "".join(f"{value}," for value in _curve_fields(r))
+        prefix = (
+            f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
+            f"{fmt(r.noise_std)},{r.seed_index},"
+        )
         # One string per record: its row strings are freed together, not
         # kept until the whole file is joined.
         chunks.append("".join([
@@ -552,31 +535,6 @@ def _curves_csv_text(records: list[RunRecord]) -> str:
             for t, c in zip(r.trace_t.tolist(), r.trace_regret.tolist())
         ]))
     return "".join(chunks)
-
-
-def _curves_json_text(records: list[RunRecord]) -> str:
-    """The curves CSV rows as objects of their field strings, laid out as
-    ``json.dumps(rows, indent=2)`` lays them out, one record at a time.
-
-    The fields are algorithm names, integers and ``.17g`` floats: none
-    needs JSON escaping.  The pieces, separators included, are joined
-    once: every further concatenation would copy the whole text again.
-    """
-    pieces = ["[\n"]
-    for r in records:
-        if r.trace_size == 0:
-            continue
-        prefix = "  {\n" + "".join(
-            f'    "{name}": "{value}",\n' for name, value in zip(CURVES_HEADER, _curve_fields(r))
-        )
-        pieces += [",\n".join([
-            f'{prefix}    "t": "{t}",\n    "cum_regret": "{c:.17g}"\n  }}'
-            for t, c in zip(r.trace_t.tolist(), r.trace_regret.tolist())
-        ]), ",\n"]
-    if len(pieces) == 1:
-        return "[]\n"
-    pieces[-1] = "\n]\n"
-    return "".join(pieces)
 
 
 def _per_task_csv_text(records: list[RunRecord]) -> str:

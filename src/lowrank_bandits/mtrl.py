@@ -87,7 +87,7 @@ def collect_stage1_samples(
     t1: int,
     rng: np.random.Generator,
     ledger: RegretLedger,
-    per_task: PerTask,
+    per_task: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> None:
     """Sphere-uniform exploration on every task, streamed one task at a time.
 

@@ -4,7 +4,6 @@ import json
 import os
 import pickle
 import stat
-import tracemalloc
 import warnings
 from dataclasses import fields
 from types import SimpleNamespace
@@ -151,15 +150,6 @@ class TestRunExperiment:
             assert record.sample_total == record.samples_used.sum()
             assert record.width_final == record.width_after[-1]
 
-    def test_json_output_format(self, tmp_path):
-        out = tmp_path / "json"
-        config = small_config(algorithm="mtrl", output_format="json", out_dir=str(out))
-        run_experiment(config)
-        rows = json.loads((out / "curves.json").read_text())
-        assert rows and set(rows[0]) == {
-            "algo", "d", "k", "M", "T", "noise_std", "seed", "t", "cum_regret",
-        }
-
     def test_no_stray_temp_files(self, tmp_path):
         out = tmp_path / "clean"
         run_experiment(small_config(algorithm="mtrl", out_dir=str(out)))
@@ -224,7 +214,7 @@ class TestRunExperiment:
         )
         records, _ = run_experiment(config)
         (_, _, (curves,), rows), (_, builder, args, tasks) = harness._record_jobs(
-            tmp_path, "", config, records
+            tmp_path, "", records
         )
         assert curves is records and rows == sum(r.trace_t.size for r in records) > 100_000
         assert builder is harness._per_task_csv_text and tasks == 2 * SMALL["num_tasks"]
@@ -291,7 +281,7 @@ class TestRoundTrip:
             assert float(fmt(value)) == value
 
     def test_texts_match_the_csv_writer_bytes(self):
-        # The reference renders the rows the way the csv module and json.dumps do.
+        # The reference renders the rows the way the csv module does.
         def csv_text(header, rows):
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -334,11 +324,7 @@ class TestRoundTrip:
                 for t, c in zip(r.trace_t, r.trace_regret)
             ]
             curves_csv = csv_text(harness.CURVES_HEADER, rows)
-            curves_json = json.dumps(
-                [dict(zip(harness.CURVES_HEADER, row)) for row in rows], indent=2
-            ) + "\n"
             assert harness._curves_csv_text(records) == curves_csv
-            assert harness._curves_json_text(records) == curves_json
 
         records = curves_cases[-1]
         rows = [
@@ -352,33 +338,6 @@ class TestRoundTrip:
         ]
         assert harness._per_task_csv_text(records) == csv_text(harness.PER_TASK_HEADER, rows)
 
-
-    def test_curves_json_is_the_json_dumps_bytes(self):
-        def reference(records):
-            rows = list(csv.reader(io.StringIO(harness._curves_csv_text(records))))[1:]
-            objects = [dict(zip(harness.CURVES_HEADER, row)) for row in rows]
-            return json.dumps(objects, indent=2) + "\n"
-
-        mtrl, _ = run_experiment(small_config(algorithm="mtrl", noise_std=0.5))
-        lll, _ = run_experiment(
-            small_config(algorithm="lll", mode="pure_exploration", epsilon=0.3, trace_stride=7)
-        )
-        for records in ([], mtrl[:1], mtrl, lll):
-            assert harness._curves_json_text(records) == reference(records)
-
-    def test_curves_json_peak_is_twice_the_text(self):
-        # The text and its pieces, nothing more: a concatenation around the
-        # joined text would hold a third copy.
-        records, _ = run_experiment(
-            small_config(algorithm="mtrl", horizon=4000, num_seeds=3, trace_stride=1)
-        )
-        tracemalloc.start()
-        try:
-            text = harness._curves_json_text(records)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.2 * len(text)
 
     @pytest.mark.parametrize(
         "doc",
@@ -520,27 +479,20 @@ class TestCli:
         assert code == 0
         assert (out / "comparison.json").exists()
 
-    @pytest.mark.parametrize("fmt,suffix", [("csv", ".csv"), ("json", ".json")])
-    def test_compare_writes_curves_in_the_format(self, tmp_path, capsys, fmt, suffix):
+    def test_compare_writes_a_curves_csv_per_config(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         code = self.run_cli(
             "compare", "--algorithms", "mtrl,lll", "--d", "6", "--k", "2", "--M", "5",
-            "--T", "400", "--seeds", "2", "--epsilon", "0.3", "--format", fmt,
-            "--out-dir", str(out),
+            "--T", "400", "--seeds", "2", "--epsilon", "0.3", "--out-dir", str(out),
         )
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "comparison.json", f"curves_0_mtrl{suffix}", f"curves_1_lll{suffix}",
-            "per_task_1_lll.csv",
+            "comparison.json", "curves_0_mtrl.csv", "curves_1_lll.csv", "per_task_1_lll.csv",
         ]
-        if fmt == "json":
-            rows = json.loads((out / "curves_0_mtrl.json").read_text())
-            assert {row["algo"] for row in rows} == {"mtrl"}
         assert len(read_per_task_csv(out / "per_task_1_lll.csv")) == 2
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_compare_files_do_not_depend_on_the_worker_count(
-        self, tmp_path, capsys, monkeypatch, fmt
+        self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr(harness, "POOL_WRITE_MIN_POINTS", 0)  # pool even these small files
         runs = {}
@@ -550,15 +502,14 @@ class TestCli:
             code = self.run_cli(
                 "compare", "--algorithms", "mtrl,lll", "--mode", "pure_exploration",
                 "--epsilon", "0.3", "--d", "6", "--k", "2", "--M", "5", "--T", "400",
-                "--seeds", "3", "--format", fmt, "--out-dir", str(out),
+                "--seeds", "3", "--out-dir", str(out),
             )
             assert code == 0
             printed = capsys.readouterr().out.replace(str(out), "<out>")
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             runs[workers] = printed, files
         (serial_out, serial_files), (pooled_out, pooled_files) = runs["1"], runs["2"]
-        names = ["comparison.json", f"curves_0_mtrl.{fmt}", f"curves_1_lll.{fmt}",
-                 "per_task_1_lll.csv"]
+        names = ["comparison.json", "curves_0_mtrl.csv", "curves_1_lll.csv", "per_task_1_lll.csv"]
         assert list(serial_files) == names
         assert serial_files == pooled_files
         assert serial_out == pooled_out
@@ -715,7 +666,6 @@ class TestCli:
         ("master_seed", ["--master-seed", "7"], "master_seed", 7),
         ("trace_stride", ["--trace-stride", "5"], "trace_stride", 5),
         ("out_dir", ["--out-dir", "some/dir"], "out_dir", "some/dir"),
-        ("format", ["--format", "json"], "output_format", "json"),
     ]
 
     def captured_configs(self, monkeypatch, *args):
@@ -788,6 +738,31 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert message in err["message"]
         assert captured.out == ""
+
+    # Curves are CSV only, so no format option exists: `--format` is an unknown flag.
+    @pytest.mark.parametrize(
+        "args,config,message",
+        [
+            (["mtrl", "--format", "json"], None, "unrecognized arguments: --format json"),
+            (["mtrl", "--format", "csv"], None, "unrecognized arguments: --format csv"),
+            (["compare", "--format", "csv"], None, "unrecognized arguments: --format csv"),
+            (["mtrl"], {"format": "csv"}, "config: unknown keys for mtrl: ['format']"),
+        ],
+    )
+    def test_format_option_is_unknown(self, tmp_path, capsys, args, config, message):
+        out = tmp_path / "out"
+        shape = ["--d", "6", "--k", "2", "--M", "5", "--T", "400", "--seeds", "2"]
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            shape += ["--config", str(config_path)]
+        assert self.run_cli(*args, *shape, "--out-dir", str(out)) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--help"], ["mtrl", "--help"]])
     def test_help_exits_zero(self, capsys, args):
