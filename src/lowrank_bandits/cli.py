@@ -3,8 +3,8 @@
 Subcommands: ``mtrl``, ``e2tc``, ``independent``, ``lll``, ``compare``.
 Options may also come from a JSON config file (``--config``); explicit
 flags override file values, which override defaults.  Exit code 0 on
-success, 2 on a configuration or I/O error (with a one-line structured
-message on stderr).
+success, 2 on a configuration or I/O error or when memory runs out (with a
+one-line structured message on stderr).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from .errors import ConfigError
 from .harness import ALGORITHMS, ExperimentConfig, compare, run_experiment
-from .lll import LOG_ARGS, MODES
+from .lll import MODES
 
 _COMPARE_DEFAULT = "mtrl,e2tc,independent"  # the algorithms compare runs when none are named
 
@@ -35,7 +35,6 @@ _OPTIONS = [
     ("--trace-stride", "trace_stride", {"type": int}, "trace thinning stride (0 disables)"),
     ("--out-dir", "out_dir", {"type": str}, "output directory for result files"),
     ("--mode", "mode", {"choices": MODES}, "lll objective"),
-    ("--log-arg", "log_arg", {"choices": LOG_ARGS}, "lll confidence log factor: log(2dM/delta) or log(2/delta)"),
     ("--noiseless-oracle", "noiseless_oracle", {"action": "store_true"}, "exact least-squares estimates (requires --noise-std 0)"),
 ]
 
@@ -134,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in written:
             print(f"wrote {path}")
         return 0
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
 

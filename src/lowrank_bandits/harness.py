@@ -39,10 +39,9 @@ reconstructs the exact binary64 values.  Files are written atomically
 (temp file + rename) and are byte-identical for identical configs
 regardless of worker count.  The worker count sets both how many
 processes run the replicates and how many write the files, one process
-per file at most, once the files outside the largest one hold
-``POOL_WRITE_MIN_POINTS`` rows and curve points; smaller outputs are
-written in process.  When one file cannot be written the others still
-are, and the first error in file order is raised.
+per file at most.  When one file cannot be written, or its text does not
+fit in memory, the others still are, and the first error in file order
+is raised.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +74,10 @@ ALGORITHMS = {
     "mtrl": ("run_mtrl", ("noiseless_oracle",)),
     "e2tc": ("run_e2tc", ()),
     "independent": ("run_independent_etc", ("noiseless_oracle",)),
-    "lll": ("run_lll", ("mode", "epsilon", "delta", "log_arg")),
+    "lll": ("run_lll", ("mode", "epsilon", "delta")),
 }
 WORKERS_ENV_VAR = "LOWRANK_BANDITS_WORKERS"
+MAX_COUNT = 2**63 - 1
 
 CURVES_HEADER = ["algo", "d", "k", "M", "T", "noise_std", "seed", "t", "cum_regret"]
 PER_TASK_HEADER = [
@@ -115,7 +115,6 @@ class ExperimentConfig:
     epsilon: float | None = None
     delta: float = 0.05
     mode: str = "regret"
-    log_arg: str = "union"
     noiseless_oracle: bool = False
     num_seeds: int = 20
     master_seed: int = 0
@@ -142,6 +141,11 @@ class ExperimentConfig:
         self.instance_spec().validate()
         for name in ("num_seeds", "master_seed", "trace_stride"):
             require_int(name, getattr(self, name))
+        # numpy holds these counts in int64 (rep_dim <= dim); master_seed only
+        # seeds SeedSequence, which takes any non-negative int
+        for name in ("dim", "num_tasks", "horizon", "num_seeds", "trace_stride"):
+            if getattr(self, name) > MAX_COUNT:
+                raise ConfigError(f"{name}: must be <= 2**63 - 1, got {getattr(self, name)}")
         require_finite("delta", self.delta)
         if self.epsilon is not None:
             require_finite("epsilon", self.epsilon)
@@ -159,7 +163,7 @@ class ExperimentConfig:
             raise ConfigError(f"trace_stride: must be >= 0, got {self.trace_stride}")
         # summary.json echoes the lifelong options for every algorithm
         check_options(
-            self.mode, self.log_arg, self.delta, self.epsilon, self.dim, self.num_tasks,
+            self.mode, self.delta, self.epsilon, self.dim, self.num_tasks,
             lifelong="epsilon" in options,
         )
         # mtrl._stage1_theta_hat checks noise_std == 0 and t1 >= dim before the first draw.
@@ -306,8 +310,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         jobs = _record_jobs(out_dir, "", records)
-        points = _curve_points([records])
-        jobs.append((out_dir / "summary.json", _summary_json_text, (config, records), points))
+        jobs.append((out_dir / "summary.json", _summary_json_text, (config, records)))
         written = _write_files(jobs)
     return records, written
 
@@ -367,9 +370,9 @@ def summarize(records: list[RunRecord]) -> dict:
 def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
     """Run several algorithms on identical instance streams and tabulate gaps.
 
-    All configs must agree on everything that shapes the instances and the
-    replication, and on ``out_dir``, where the files go (they may differ in
-    algorithm and algorithm-only options).
+    All configs must agree on every field but ``algorithm`` and the options
+    of ``ALGORITHMS``: on what shapes the instances and the replication, and
+    on ``out_dir``, where the files go.
     Replicate ``i`` of every config sees the same instance, so pairwise
     differences are paired comparisons.
     """
@@ -378,18 +381,10 @@ def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
     for cfg in configs:
         cfg.validate()
     anchor = configs[0]
+    options = {name for _, names in ALGORITHMS.values() for name in names}
+    shared = [f.name for f in fields(ExperimentConfig) if f.name not in {"algorithm", *options}]
     for cfg in configs[1:]:
-        for fieldname in (
-            "dim",
-            "rep_dim",
-            "num_tasks",
-            "horizon",
-            "noise_std",
-            "num_seeds",
-            "master_seed",
-            "trace_stride",
-            "out_dir",
-        ):
+        for fieldname in shared:
             if getattr(cfg, fieldname) != getattr(anchor, fieldname):
                 raise ConfigError(
                     f"{fieldname}: configs must match, got "
@@ -434,7 +429,7 @@ def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
     if anchor.out_dir is not None:
         out = Path(anchor.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        jobs = [(out / "comparison.json", _json_text, (table,), _curve_points(all_records))]
+        jobs = [(out / "comparison.json", _json_text, (table,))]
         for idx, (cfg, records) in enumerate(zip(configs, all_records)):
             jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", records)
         written = _write_files(jobs)
@@ -464,40 +459,25 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-# A write job is ``(path, builder, args, points)``: ``builder(*args)`` is the
-# file's text, and ``points`` counts the rows or curve points it holds, which
-# is what the text costs to build.
-WriteJob = tuple[Path, Callable[..., str], tuple, int]
-
-# The pool can only save the work outside the largest file.  A point's text
-# takes ~1.5 us and forking the pool 15-40 ms; measured on 2 CPUs, the pool
-# lost with 25k points outside the largest file and won with 50k.  Below
-# this many, the files are written in process.
-POOL_WRITE_MIN_POINTS = 40_000
-
-
-def _curve_points(record_sets: list[list[RunRecord]]) -> int:
-    """The points of the mean curves that ``summarize`` gives ``record_sets``."""
-    return sum(records[0].trace_size for records in record_sets if _shares_grid(records))
+# A write job is ``(path, builder, args)``: ``builder(*args)`` is the file's text.
+WriteJob = tuple[Path, Callable[..., str], tuple]
 
 
 def _record_jobs(out_dir: Path, suffix: str, records: list[RunRecord]) -> list[WriteJob]:
     """Write jobs for the curves CSV and, for records with per-task columns,
     the per-task CSV."""
-    rows = sum(r.trace_size for r in records)
-    jobs = [(out_dir / f"curves{suffix}.csv", _curves_csv_text, (records,), rows)]
+    jobs = [(out_dir / f"curves{suffix}.csv", _curves_csv_text, (records,))]
     if records[0].per_task_regret is not None:
-        rows = sum(r.per_task_regret.size for r in records)
-        jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (records,), rows))
+        jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (records,)))
     return jobs
 
 
-def _write_job(job: WriteJob) -> Path | OSError:
+def _write_job(job: WriteJob) -> Path | OSError | MemoryError:
     """Build one file's text and write it: its path, or the error that stopped the write."""
-    path, builder, args, _ = job
+    path, builder, args = job
     try:
         _atomic_write(path, builder(*args))
-    except OSError as error:  # _write_files raises it once every job has run
+    except (OSError, MemoryError) as error:  # _write_files raises it once every job has run
         return error
     return path
 
@@ -505,18 +485,14 @@ def _write_job(job: WriteJob) -> Path | OSError:
 def _write_files(jobs: list[WriteJob]) -> list[Path]:
     """Run every write job, one file each, on up to one process per file.
 
-    The pool is used only when the files outside the largest one hold at
-    least ``POOL_WRITE_MIN_POINTS`` points.  Every job runs even when a
-    write fails, so the files a failed run leaves do not depend on the
-    worker count; the first ``OSError`` in job order is raised after.  The
-    paths come back in job order.
+    Every job runs even when a write fails, so the files a failed run leaves
+    do not depend on the worker count; the first error in job order is
+    raised after.  The paths come back in job order.
     """
-    points = sorted(job[3] for job in jobs)
-    workers = _worker_count(len(jobs)) if sum(points[:-1]) >= POOL_WRITE_MIN_POINTS else 1
-    with _pool(workers) as run_all:
+    with _pool(_worker_count(len(jobs))) as run_all:
         results = list(run_all(_write_job, jobs))
     for result in results:
-        if isinstance(result, OSError):
+        if isinstance(result, Exception):
             raise result
     return results
 
@@ -561,7 +537,6 @@ def _summary_json_text(config: ExperimentConfig, records: list[RunRecord]) -> st
             "epsilon": config.epsilon,
             "delta": config.delta,
             "mode": config.mode,
-            "log_arg": config.log_arg,
             "noiseless_oracle": config.noiseless_oracle,
             "n_seeds": config.num_seeds,
             "master_seed": config.master_seed,

@@ -16,7 +16,7 @@ Two modes:
   ``1 - delta``, using as few samples as possible.  Budgets follow the
   high-probability formulas ``n1 = ceil(4 * width * L / eps^2)`` per
   column and ``n2 = ceil(16 * dim * L / eps^2)`` per coordinate, with
-  ``L`` the confidence log factor.
+  ``L = log(2 * dim * num_tasks / delta)`` the confidence log factor.
 * ``regret`` — after estimation, commit to the greedy unit-ball action for
   the rest of the per-task horizon.  ``epsilon`` is set to
   ``((dim^2 k + k^2 M) / (M T))**0.25``, which balances exploration cost
@@ -50,10 +50,6 @@ from .linalg import (
 )
 
 MODES = ("pure_exploration", "regret")
-# Confidence log factor: "union" scales the argument by dim * num_tasks so the
-# per-coordinate deviation bounds survive a union bound over coordinates and
-# tasks; "plain" uses the bare 2/delta.
-LOG_ARGS = ("union", "plain")
 
 EXTENSION_FLOOR_FRACTION = 0.25  # extend only when ||residual|| >= epsilon / 4
 FULL_BASIS_RESIDUAL_ATOL = 1e-6
@@ -62,20 +58,18 @@ MAX_PULLS = np.iinfo(np.int64).max
 
 
 def check_options(
-    mode: str, log_arg: str, delta: float, epsilon: float | None, dim: int, num_tasks: int,
+    mode: str, delta: float, epsilon: float | None, dim: int, num_tasks: int,
     *, lifelong: bool = True,
 ) -> None:
     """Membership and range of the lifelong options.
 
     ``epsilon`` may be unset, except in pure-exploration mode of a
     ``lifelong`` run: other algorithms only echo these options.  There, the
-    pulls of a run whose every task explores a full-width basis and then
-    re-estimates must fit in int64.
+    log factor must be finite, and the pulls of a run whose every task
+    explores a full-width basis and then re-estimates must fit in int64.
     """
     if mode not in MODES:
         raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
-    if log_arg not in LOG_ARGS:
-        raise ConfigError(f"log_arg: must be one of {LOG_ARGS}, got {log_arg!r}")
     if not 0 < delta < 1:
         raise ConfigError(f"delta: must be in (0, 1), got {delta}")
     if epsilon is not None and not 0 < epsilon < 1:
@@ -83,23 +77,24 @@ def check_options(
     if lifelong and mode == "pure_exploration":
         if epsilon is None:
             raise ConfigError("epsilon: required in pure_exploration mode")
-        worst = num_tasks * dim * (
-            sample_budget_stage1(dim, epsilon, delta, dim, num_tasks, log_arg)
-            + sample_budget_stage2(epsilon, delta, dim, num_tasks, log_arg)
-        )
+        if not math.isfinite(log_factor(delta, dim, num_tasks)):
+            raise ConfigError(f"delta: {delta} makes log(2 * dim * num_tasks / delta) infinite")
+        try:
+            worst = num_tasks * dim * (
+                sample_budget_stage1(dim, epsilon, delta, dim, num_tasks)
+                + sample_budget_stage2(epsilon, delta, dim, num_tasks)
+            )
+        except (ZeroDivisionError, OverflowError):  # epsilon**2 is 0, or a budget is inf
+            worst = math.inf
         if worst > MAX_PULLS:
             raise ConfigError(
                 f"epsilon: {epsilon} allows up to {worst:.3g} pulls, more than int64 holds"
             )
 
 
-def log_factor(delta: float, dim: int, num_tasks: int, log_arg: str = "union") -> float:
-    """Confidence log factor L: log(2 d M / delta) or log(2 / delta)."""
-    if log_arg == "union":
-        return math.log(2 * dim * num_tasks / delta)
-    if log_arg == "plain":
-        return math.log(2 / delta)
-    raise ConfigError(f"log_arg: must be one of {LOG_ARGS}, got {log_arg!r}")
+def log_factor(delta: float, dim: int, num_tasks: int) -> float:
+    """Confidence log factor L = log(2 d M / delta): a union bound over coordinates and tasks."""
+    return math.log(2 * dim * num_tasks / delta)
 
 
 def sample_budget_stage1(
@@ -108,7 +103,6 @@ def sample_budget_stage1(
     delta: float,
     dim: int,
     num_tasks: int,
-    log_arg: str = "union",
 ) -> int:
     """Per-column budget for exploring the current basis: ceil(4 width L / eps^2).
 
@@ -118,15 +112,13 @@ def sample_budget_stage1(
         raise ValueError(f"width must be >= 0, got {width}")
     if width == 0:
         return 0
-    lf = log_factor(delta, dim, num_tasks, log_arg)
+    lf = log_factor(delta, dim, num_tasks)
     return math.ceil(4 * width * lf / epsilon**2)
 
 
-def sample_budget_stage2(
-    epsilon: float, delta: float, dim: int, num_tasks: int, log_arg: str = "union"
-) -> int:
+def sample_budget_stage2(epsilon: float, delta: float, dim: int, num_tasks: int) -> int:
     """Per-coordinate budget for the full re-estimation: ceil(16 dim L / eps^2)."""
-    lf = log_factor(delta, dim, num_tasks, log_arg)
+    lf = log_factor(delta, dim, num_tasks)
     return math.ceil(16 * dim * lf / epsilon**2)
 
 
@@ -259,7 +251,6 @@ def run_lll(
     mode: str,
     epsilon: float | None = None,
     delta: float = 0.05,
-    log_arg: str = "union",
 ) -> tuple[RegretLedger, LllState]:
     """Process all tasks sequentially; return the ledger and the learner state.
 
@@ -276,7 +267,7 @@ def run_lll(
     the overrun rather than truncating; so does a horizon whose derived
     ``epsilon`` is at least 1, where the norm test could never fire.
     """
-    check_options(mode, log_arg, delta, epsilon, instance.dim, instance.num_tasks)
+    check_options(mode, delta, epsilon, instance.dim, instance.num_tasks)
     rng = rng if rng is not None else np.random.default_rng(0)
     dim, rep_dim = instance.dim, instance.rep_dim
     num_tasks, horizon = instance.num_tasks, instance.horizon
@@ -308,8 +299,8 @@ def run_lll(
         if regret_mode:
             n1, n2 = _regret_mode_budgets(width, dim, epsilon)
         else:
-            n1 = sample_budget_stage1(width, epsilon, delta, dim, num_tasks, log_arg)
-            n2 = sample_budget_stage2(epsilon, delta, dim, num_tasks, log_arg)
+            n1 = sample_budget_stage1(width, epsilon, delta, dim, num_tasks)
+            n2 = sample_budget_stage2(epsilon, delta, dim, num_tasks)
         regret_before = ledger.total
         used = width * n1
         if regret_mode and used > horizon:

@@ -223,7 +223,6 @@ def test_criterion_6_pure_exploration_guarantees():
                 mode="pure_exploration",
                 epsilon=epsilon,
                 delta=0.05,
-                log_arg="union",
             )
             errors = np.linalg.norm(state.theta_hats - instance.thetas, axis=0)
             hits += int((errors <= epsilon).sum())

@@ -3,9 +3,13 @@ import io
 import json
 import os
 import pickle
+import resource
 import stat
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,8 +194,8 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
             harness._worker_count(limit=20)
 
-    def test_files_go_to_the_pool_only_past_the_point_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
+    def test_files_go_to_one_worker_each_up_to_the_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         pools = []
         real_pool = harness._pool
 
@@ -200,12 +204,11 @@ class TestRunExperiment:
             return real_pool(workers)
 
         monkeypatch.setattr(harness, "_pool", pool)
-        limit = harness.POOL_WRITE_MIN_POINTS
-        for points in ([10 * limit, limit - 1], [10 * limit, limit - 2, 1], [limit, limit],
-                       [limit // 2, limit, limit // 2, 3]):
-            jobs = [(tmp_path / f"f{i}", str, (i,), n) for i, n in enumerate(points)]
+        for count in (1, 2, 3, 5):
+            jobs = [(tmp_path / f"f{count}_{i}", str, (i,)) for i in range(count)]
             assert harness._write_files(jobs) == [job[0] for job in jobs]
-        assert pools == [1, 1, 2, 4]  # the points outside the largest file decide
+            assert [p.read_text() for p, _, _ in jobs] == [str(i) for i in range(count)]
+        assert pools == [1, 2, 3, 3]
 
     def test_per_task_job_sends_small_args(self, tmp_path):
         # At stride 1 the expanded traces of these records take ~3 MB.
@@ -213,11 +216,9 @@ class TestRunExperiment:
             algorithm="lll", mode="pure_exploration", epsilon=0.3, trace_stride=1
         )
         records, _ = run_experiment(config)
-        (_, _, (curves,), rows), (_, builder, args, tasks) = harness._record_jobs(
-            tmp_path, "", records
-        )
-        assert curves is records and rows == sum(r.trace_t.size for r in records) > 100_000
-        assert builder is harness._per_task_csv_text and tasks == 2 * SMALL["num_tasks"]
+        (_, _, (curves,)), (_, builder, args) = harness._record_jobs(tmp_path, "", records)
+        assert curves is records and sum(r.trace_t.size for r in records) > 100_000
+        assert builder is harness._per_task_csv_text
         sent = pickle.dumps(args)
         assert len(sent) < 16 * 2**10, len(sent)
         assert builder(*pickle.loads(sent)) == harness._per_task_csv_text(records)
@@ -236,6 +237,20 @@ class TestRunExperiment:
             run_experiment(small_config(num_seeds=0))
         with pytest.raises(ConfigError, match="epsilon"):
             run_experiment(small_config(algorithm="lll", mode="pure_exploration"))
+
+    # rep_dim <= dim bounds rep_dim too
+    @pytest.mark.parametrize("name", ["dim", "num_tasks", "horizon", "num_seeds", "trace_stride"])
+    def test_counts_past_int64_are_rejected(self, name):
+        with pytest.raises(ConfigError) as error:
+            small_config(**{name: 2**63}).validate()
+        assert str(error.value) == f"{name}: must be <= 2**63 - 1, got {2**63}"
+
+    def test_master_seed_has_no_upper_bound(self):
+        small_config(master_seed=2**63).validate()
+
+    def test_log_arg_is_not_a_field(self):
+        with pytest.raises(TypeError, match="log_arg"):
+            ExperimentConfig(log_arg="union")
 
     @pytest.mark.parametrize("algorithm", ["mtrl", "e2tc", "independent"])
     def test_epsilon_only_required_for_lll(self, algorithm):
@@ -432,6 +447,25 @@ class TestCompare:
                 [small_config(algorithm="mtrl"), small_config(algorithm="e2tc", num_tasks=6)]
             )
 
+    def test_first_mismatched_field_is_named(self):
+        # every field but algorithm and the ALGORITHMS options, in field order
+        other = small_config(
+            algorithm="lll", mode="pure_exploration", epsilon=0.3, delta=0.1,
+            noise_std=0.5, num_seeds=3, trace_stride=5,
+        )
+        with pytest.raises(ConfigError) as error:
+            compare([small_config(algorithm="mtrl"), other])
+        assert str(error.value) == "noise_std: configs must match, got 0.5 vs 1.0"
+
+    def test_algorithm_options_may_differ(self):
+        table, _ = compare(
+            [
+                small_config(algorithm="mtrl", noiseless_oracle=True, noise_std=0.0),
+                small_config(algorithm="lll", mode="pure_exploration", epsilon=0.3, noise_std=0.0),
+            ]
+        )
+        assert [s["algorithm"] for s in table["summaries"]] == ["mtrl", "lll"]
+
     def test_mismatched_out_dir_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="out_dir"):
             compare(
@@ -494,7 +528,6 @@ class TestCli:
     def test_compare_files_do_not_depend_on_the_worker_count(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(harness, "POOL_WRITE_MIN_POINTS", 0)  # pool even these small files
         runs = {}
         for workers in ("1", "2"):
             monkeypatch.setenv(WORKERS_ENV_VAR, workers)
@@ -519,7 +552,6 @@ class TestCli:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_write_in_a_worker_exits_2(self, tmp_path, capsys, monkeypatch, workers):
         monkeypatch.setenv(WORKERS_ENV_VAR, workers)
-        monkeypatch.setattr(harness, "POOL_WRITE_MIN_POINTS", 0)
         out = tmp_path / "cmp"
         (out / "comparison.json").mkdir(parents=True)
         code = self.run_cli(
@@ -588,6 +620,32 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith("lll: n=1 mean_final=")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_trace_past_memory_exits_2(self, tmp_path, workers):
+        # The same run with --out-dir: its curves and mean curve need a 1.80 TiB
+        # grid.  An address-space limit makes the allocation fail on any host.
+        out = tmp_path / "out"
+        args = ["lll", "--mode", "pure_exploration", "--epsilon", "1e-4", "--M", "5", "--T",
+                "100", "--seeds", "1", "--out-dir", str(out)]
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, WORKERS_ENV_VAR: workers, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        limit = 4 * 2**30
+        done = subprocess.run(
+            [sys.executable, "-m", "lowrank_bandits", *args], env=env, capture_output=True,
+            text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 2, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MemoryError"
+        assert err["message"].startswith("Unable to allocate 1.80 TiB")
+        assert done.stdout == ""
+        # the per-task file still gets written, whatever the worker count
+        assert sorted(p.name for p in out.iterdir()) == ["per_task.csv"]
+
     @pytest.mark.parametrize("command", list(harness.ALGORITHMS))
     @pytest.mark.parametrize("noise_std,code", [("1e308", 2), (repr(MAX_NOISE_STD), 0)])
     def test_noise_std_bound(self, capsys, monkeypatch, command, noise_std, code):
@@ -633,7 +691,6 @@ class TestCli:
             ("compare", '{"noise_std": NaN}', "noise_std: must be a finite"),
             ("compare", '{"algorithms": 5}', "algorithms: must be a string"),
             ("mtrl", '{"mode": "bogus"}', "mode: must be one of"),
-            ("e2tc", '{"log_arg": 7}', "log_arg: must be one of"),
             ("independent", '{"delta": 5.0}', "delta: must be in (0, 1)"),
             ("mtrl", '{"epsilon": -3}', "epsilon: must be in (0, 1)"),
             ("compare", '{"mode": "bogus"}', "mode: must be one of"),
@@ -660,7 +717,8 @@ class TestCli:
         ("epsilon", ["--epsilon", "0.2"], "epsilon", 0.2),
         ("delta", ["--delta", "0.1"], "delta", 0.1),
         ("mode", ["--mode", "pure_exploration"], "mode", "pure_exploration"),
-        ("log_arg", ["--log-arg", "plain"], "log_arg", "plain"),
+        # no upper bound: SeedSequence takes any non-negative int
+        ("master_seed", ["--master-seed", str(2**64)], "master_seed", 2**64),
         ("noiseless_oracle", ["--noiseless-oracle"], "noiseless_oracle", True),
         ("seeds", ["--seeds", "3"], "num_seeds", 3),
         ("master_seed", ["--master-seed", "7"], "master_seed", 7),
@@ -739,7 +797,8 @@ class TestCli:
         assert message in err["message"]
         assert captured.out == ""
 
-    # Curves are CSV only, so no format option exists: `--format` is an unknown flag.
+    # Curves are CSV only and the lll log factor is always log(2dM/delta), so
+    # neither a format nor a log-factor option exists: both are unknown.
     @pytest.mark.parametrize(
         "args,config,message",
         [
@@ -747,6 +806,9 @@ class TestCli:
             (["mtrl", "--format", "csv"], None, "unrecognized arguments: --format csv"),
             (["compare", "--format", "csv"], None, "unrecognized arguments: --format csv"),
             (["mtrl"], {"format": "csv"}, "config: unknown keys for mtrl: ['format']"),
+            (["mtrl", "--log-arg", "union"], None, "unrecognized arguments: --log-arg union"),
+            (["e2tc"], {"log_arg": "union"}, "config: unknown keys for e2tc: ['log_arg']"),
+            (["lll", "--log-arg", "plain"], None, "unrecognized arguments: --log-arg plain"),
         ],
     )
     def test_format_option_is_unknown(self, tmp_path, capsys, args, config, message):

@@ -27,12 +27,9 @@ class TestBudgets:
     def test_empty_basis_skips_stage1(self):
         assert sample_budget_stage1(0, 0.1, 0.05, 10, 50) == 0
 
-    def test_plain_log_arithmetic(self):
-        # ceil(4 * 2 * log(40) / 0.01) = ceil(2951.10...) = 2952
-        assert sample_budget_stage1(2, 0.1, 0.05, 10, 50, log_arg="plain") == 2952
-
-    def test_union_log_is_larger(self):
-        assert log_factor(0.05, 10, 50, "union") > log_factor(0.05, 10, 50, "plain")
+    def test_log_arithmetic(self):
+        # ceil(4 * 2 * log(2 * 10 * 50 / 0.05) / 0.01) = ceil(7922.79...) = 7923
+        assert sample_budget_stage1(2, 0.1, 0.05, 10, 50) == 7923
 
     def test_monotonicity(self):
         budgets_width = [sample_budget_stage1(w, 0.1, 0.05, 10, 50) for w in (1, 2, 5)]
@@ -41,9 +38,9 @@ class TestBudgets:
         assert budgets_eps == sorted(budgets_eps)
 
     def test_stage2_formula(self):
-        lf = log_factor(0.05, 10, 50, "plain")
+        lf = log_factor(0.05, 10, 50)
         expected = int(np.ceil(16 * 10 * lf / 0.01))
-        assert sample_budget_stage2(0.1, 0.05, 10, 50, log_arg="plain") == expected
+        assert sample_budget_stage2(0.1, 0.05, 10, 50) == expected
 
     def test_regret_mode_epsilon_value(self):
         # ((100*2 + 4*50) / (50*1e4)) ** 0.25
@@ -119,7 +116,7 @@ class TestReestimate:
     def test_concentration_at_formula_budget(self):
         # with the stage-2 budget at eps=0.1, the estimate lands within eps
         # in at least 95% of seeds
-        n2 = sample_budget_stage2(0.1, 0.05, 10, 50, log_arg="union")
+        n2 = sample_budget_stage2(0.1, 0.05, 10, 50)
         hits = 0
         for seed in range(200):
             inst = make_instance(noise_std=1.0, seed=700 + seed)
@@ -251,6 +248,19 @@ class TestRunLll:
         inst = make_instance(seed=15)
         with pytest.raises(ConfigError, match="epsilon"):
             run_lll(inst, np.random.default_rng(0), mode="pure_exploration")
+
+    @pytest.mark.parametrize(
+        "epsilon,delta,message",
+        [
+            (1e-308, 0.05, "epsilon: 1e-308 allows up to inf pulls"),  # epsilon**2 underflows
+            (1e-160, 0.05, "epsilon: 1e-160 allows up to inf pulls"),  # the budget overflows
+            (0.3, 1e-308, "delta: 1e-308 makes log(2 * dim * num_tasks / delta) infinite"),
+        ],
+    )
+    def test_infinite_pure_exploration_budget_rejected(self, epsilon, delta, message):
+        with pytest.raises(ConfigError) as error:
+            run_lll(make_instance(seed=15), mode="pure_exploration", epsilon=epsilon, delta=delta)
+        assert str(error.value).startswith(message)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
