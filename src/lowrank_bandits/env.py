@@ -131,9 +131,14 @@ def generate_instance(
     q, r = np.linalg.qr(gauss)
     q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
     basis = np.ascontiguousarray(q[:, : spec.rep_dim])
-    weights = np.column_stack(
-        [sample_unit_sphere(spec.rep_dim, rng) for _ in range(spec.num_tasks)]
-    )
+    try:  # before the per-task loop, so a count no array can hold fails at once
+        weights = np.empty((spec.rep_dim, spec.num_tasks))
+    except ValueError:  # numpy: "array is too big"
+        raise ConfigError(
+            f"num_tasks: {spec.num_tasks} task weights do not fit in one array"
+        ) from None
+    for task in range(spec.num_tasks):
+        weights[:, task] = sample_unit_sphere(spec.rep_dim, rng)
     instance = BanditInstance(
         basis=basis,
         task_weights=weights,

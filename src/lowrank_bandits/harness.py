@@ -37,11 +37,12 @@ text of ``summary.json`` and ``comparison.json`` is exactly
 Floats are serialized with 17 significant digits so parsing a file
 reconstructs the exact binary64 values.  Files are written atomically
 (temp file + rename) and are byte-identical for identical configs
-regardless of worker count.  The worker count sets both how many
-processes run the replicates and how many write the files, one process
-per file at most.  When one file cannot be written, or its text does not
-fit in memory, the others still are, and the first error in file order
-is raised.
+regardless of worker count.  Each ``run_experiment`` or ``compare`` call
+runs its replicates and writes its files on one pool, of at most the
+worker count and sized by the larger of the two phases; ``compare``'s
+``run_experiment`` calls share its pool.  When one file cannot be written,
+or its text does not fit in memory, the others still are, and the first
+error in file order is raised.
 """
 
 from __future__ import annotations
@@ -265,15 +266,32 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
     )
 
 
+# The map of the pool that the outermost ``_pool`` call holds open, or None.
+# Module state, not an argument: ``compare`` reaches ``run_experiment`` through
+# its module binding, which callers may wrap.
+_open_map = None
+
+
 @contextmanager
 def _pool(workers: int):
     """Yield a ``map`` that runs on ``workers`` fork-started processes, or
-    in process for one worker."""
-    if workers == 1:
-        yield map
+    in process for one worker.  Inside another ``_pool`` call's ``with``, yield
+    that call's map: one pool serves a whole call, and is shut down when the
+    outermost ``with`` ends."""
+    global _open_map
+    if _open_map is not None:
+        yield _open_map
         return
-    with ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork")) as executor:
-        yield executor.map
+    executor = None
+    if workers > 1:
+        executor = ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork"))
+    _open_map = map if executor is None else executor.map
+    try:
+        yield _open_map
+    finally:
+        _open_map = None
+        if executor is not None:
+            executor.shutdown()
 
 
 def _worker_count(limit: int) -> int:
@@ -302,16 +320,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     worker count never affects results or output bytes.
     """
     config.validate()
-    with _pool(_worker_count(config.num_seeds)) as run_all:
+    files = 0 if config.out_dir is None else 1 + _record_file_count(config)
+    with _pool(_worker_count(max(config.num_seeds, files))) as run_all:
         records = list(run_all(_run_single, [config] * config.num_seeds, range(config.num_seeds)))
-
-    written: list[Path] = []
-    if config.out_dir is not None:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        jobs = _record_jobs(out_dir, "", records)
-        jobs.append((out_dir / "summary.json", _summary_json_text, (config, records)))
-        written = _write_files(jobs)
+        written: list[Path] = []
+        if config.out_dir is not None:
+            out_dir = Path(config.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            jobs = _record_jobs(out_dir, "", records)
+            jobs.append((out_dir / "summary.json", _summary_json_text, (config, records)))
+            written = _write_files(jobs)
     return records, written
 
 
@@ -391,48 +409,50 @@ def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
                     f"{getattr(cfg, fieldname)!r} vs {getattr(anchor, fieldname)!r}"
                 )
 
-    all_records = [run_experiment(replace(cfg, out_dir=None))[0] for cfg in configs]
-    summaries = [summarize(records) for records in all_records]
+    files = 0 if anchor.out_dir is None else 1 + sum(map(_record_file_count, configs))
+    with _pool(_worker_count(max(anchor.num_seeds, files))):
+        all_records = [run_experiment(replace(cfg, out_dir=None))[0] for cfg in configs]
+        summaries = [summarize(records) for records in all_records]
 
-    pairs = []
-    n = anchor.num_seeds
-    finals = [np.array([r.final_regret for r in records]) for records in all_records]
-    for i, j in itertools.combinations(range(len(configs)), 2):
-        diff = finals[i] - finals[j]
-        se_a = summaries[i]["final_regret"]["se"]
-        se_b = summaries[j]["final_regret"]["se"]
-        pairs.append(
-            {
-                "a": configs[i].algorithm,
-                "b": configs[j].algorithm,
-                "mean_diff": float(diff.mean()),
-                "pooled_se": float(np.hypot(se_a, se_b)),
-                "paired_se": float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-            }
-        )
+        pairs = []
+        n = anchor.num_seeds
+        finals = [np.array([r.final_regret for r in records]) for records in all_records]
+        for i, j in itertools.combinations(range(len(configs)), 2):
+            diff = finals[i] - finals[j]
+            se_a = summaries[i]["final_regret"]["se"]
+            se_b = summaries[j]["final_regret"]["se"]
+            pairs.append(
+                {
+                    "a": configs[i].algorithm,
+                    "b": configs[j].algorithm,
+                    "mean_diff": float(diff.mean()),
+                    "pooled_se": float(np.hypot(se_a, se_b)),
+                    "paired_se": float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+                }
+            )
 
-    table = {
-        "instance": {
-            "d": anchor.dim,
-            "k": anchor.rep_dim,
-            "M": anchor.num_tasks,
-            "T": anchor.horizon,
-            "noise_std": float(anchor.noise_std),
-        },
-        "n_seeds": n,
-        "master_seed": anchor.master_seed,
-        "summaries": summaries,
-        "pairs": pairs,
-    }
+        table = {
+            "instance": {
+                "d": anchor.dim,
+                "k": anchor.rep_dim,
+                "M": anchor.num_tasks,
+                "T": anchor.horizon,
+                "noise_std": float(anchor.noise_std),
+            },
+            "n_seeds": n,
+            "master_seed": anchor.master_seed,
+            "summaries": summaries,
+            "pairs": pairs,
+        }
 
-    written: list[Path] = []
-    if anchor.out_dir is not None:
-        out = Path(anchor.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        jobs = [(out / "comparison.json", _json_text, (table,))]
-        for idx, (cfg, records) in enumerate(zip(configs, all_records)):
-            jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", records)
-        written = _write_files(jobs)
+        written: list[Path] = []
+        if anchor.out_dir is not None:
+            out = Path(anchor.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            jobs = [(out / "comparison.json", _json_text, (table,))]
+            for idx, (cfg, records) in enumerate(zip(configs, all_records)):
+                jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", records)
+            written = _write_files(jobs)
     return table, written
 
 
@@ -472,6 +492,12 @@ def _record_jobs(out_dir: Path, suffix: str, records: list[RunRecord]) -> list[W
     return jobs
 
 
+def _record_file_count(config: ExperimentConfig) -> int:
+    """How many files ``_record_jobs`` makes of a config's records: the curves
+    CSV, and the per-task CSV for lll, whose details fill ``PER_TASK_COLUMNS``."""
+    return 1 + (config.algorithm == "lll")
+
+
 def _write_job(job: WriteJob) -> Path | OSError | MemoryError:
     """Build one file's text and write it: its path, or the error that stopped the write."""
     path, builder, args = job
@@ -504,12 +530,11 @@ def _curves_csv_text(records: list[RunRecord]) -> str:
             f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
             f"{fmt(r.noise_std)},{r.seed_index},"
         )
-        # One string per record: its row strings are freed together, not
-        # kept until the whole file is joined.
-        chunks.append("".join([
-            f"{prefix}{t},{c:.17g}\n"
-            for t, c in zip(r.trace_t.tolist(), r.trace_regret.tolist())
-        ]))
+        # One string per record, made by one ``%`` call: the row template
+        # repeated once per point, filled with the points' (t, regret) pairs.
+        ts, cums = r.trace_t.tolist(), r.trace_regret.tolist()
+        row = prefix.replace("%", "%%") + "%d,%.17g\n"
+        chunks.append(row * len(ts) % tuple(itertools.chain.from_iterable(zip(ts, cums))))
     return "".join(chunks)
 
 

@@ -5,11 +5,16 @@ at the edge values of its type, on a tiny shape with one seed and one worker.
 """
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lowrank_bandits import cli
-from lowrank_bandits.harness import WORKERS_ENV_VAR
+from lowrank_bandits.harness import MAX_COUNT, WORKERS_ENV_VAR
 
 # Each command's options besides SHAPE; "lll" runs in both modes.
 COMMANDS = {
@@ -61,3 +66,26 @@ def test_option_edge_exits_0_or_2_with_one_json_line(tmp_path, monkeypatch, caps
         assert code == 2
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+def test_largest_accepted_task_count_exits_2():
+    # --M 2**63 - 1 passes validation; its task weights fit in no array.  In a
+    # subprocess under an address-space limit and a timeout, so a run that
+    # allocates or loops by the task count fails the test instead of the host.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, WORKERS_ENV_VAR: "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 4 * 2**30
+    done = subprocess.run(
+        [sys.executable, "-m", "lowrank_bandits", "mtrl", "--M", str(MAX_COUNT), "--seeds", "1"],
+        env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError",
+        "message": f"num_tasks: {MAX_COUNT} task weights do not fit in one array",
+    }

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import resource
@@ -39,6 +40,19 @@ SMALL = dict(dim=6, rep_dim=2, num_tasks=5, horizon=400, num_seeds=2, trace_stri
 def small_config(**overrides):
     merged = {**SMALL, **overrides}
     return ExperimentConfig(**merged)
+
+
+def count_pools(monkeypatch) -> list:
+    """The ``max_workers`` of every process pool the harness creates from now on."""
+    created = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    return created
 
 
 class TestSeedDerivation:
@@ -210,6 +224,14 @@ class TestRunExperiment:
             assert [p.read_text() for p, _, _ in jobs] == [str(i) for i in range(count)]
         assert pools == [1, 2, 3, 3]
 
+    def test_one_pool_runs_the_replicates_and_writes_the_files(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        created = count_pools(monkeypatch)
+        _, written = run_experiment(small_config(out_dir=str(tmp_path / "run")))
+        assert [p.name for p in written] == ["curves.csv", "summary.json"]
+        assert created == [2]
+        assert multiprocessing.active_children() == []
+
     def test_per_task_job_sends_small_args(self, tmp_path):
         # At stride 1 the expanded traces of these records take ~3 MB.
         config = small_config(
@@ -314,6 +336,28 @@ class TestRoundTrip:
                 ledger=RegretLedger.from_trace(ts, regrets, 3), **lll_fields,
             )
 
+        def f_string_text(records):
+            # The writer's former per-row f-string, the reference for its one `%` call.
+            chunks = [",".join(harness.CURVES_HEADER) + "\n"]
+            for r in records:
+                prefix = (
+                    f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
+                    f"{fmt(r.noise_std)},{r.seed_index},"
+                )
+                chunks.append("".join([
+                    f"{prefix}{t},{c:.17g}\n"
+                    for t, c in zip(r.trace_t.tolist(), r.trace_regret.tolist())
+                ]))
+            return "".join(chunks)
+
+        def stride_0_record():
+            ledger = RegretLedger(3, trace_stride=0)
+            ledger.record_block(1, 0.1 + 0.2, 7)
+            return RunRecord(
+                algorithm="e2tc", dim=10, rep_dim=2, num_tasks=3, horizon=1000,
+                noise_std=1e-300, seed_index=5, final_regret=ledger.total, ledger=ledger,
+            )
+
         def lll_record(seed, noise_std):
             return record(
                 "lll", noise_std, seed, [1500, 3000], [1e-300, 0.1 + 0.2],
@@ -330,6 +374,13 @@ class TestRoundTrip:
                 record("mtrl", 1.0, 1, [3000], [123.456]),
             ],
             [record("independent", 0.0, 0, [3000], [0.0])],
+            [
+                record("mtrl", float("inf"), 2, [1000 * t for t in range(1, 8)],
+                       [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308, 0.1]),
+                record("independent", float("nan"), 3, [1], [5e-324]),  # one point
+                stride_0_record(),
+                record("x%s%%d%", 1e308, 4, [2, 3], [1e308, -0.0]),  # "%" in the prefix
+            ],
             [lll_record(0, 1.0), lll_record(1, 0.0)],
         ]
         for records in curves_cases:
@@ -339,7 +390,7 @@ class TestRoundTrip:
                 for t, c in zip(r.trace_t, r.trace_regret)
             ]
             curves_csv = csv_text(harness.CURVES_HEADER, rows)
-            assert harness._curves_csv_text(records) == curves_csv
+            assert harness._curves_csv_text(records) == curves_csv == f_string_text(records)
 
         records = curves_cases[-1]
         rows = [
@@ -476,6 +527,17 @@ class TestCompare:
             )
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_pool_serves_every_config_and_every_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        created = count_pools(monkeypatch)
+        out = str(tmp_path / "cmp")
+        _, written = compare(
+            [small_config(algorithm=a, out_dir=out) for a in ("mtrl", "e2tc", "independent")]
+        )
+        assert len(written) == 4
+        assert created == [2]
+        assert multiprocessing.active_children() == []
+
     def test_writes_comparison_files(self, tmp_path):
         out = tmp_path / "cmp"
         table, written = compare(
@@ -528,8 +590,9 @@ class TestCli:
     def test_compare_files_do_not_depend_on_the_worker_count(
         self, tmp_path, capsys, monkeypatch
     ):
+        # 3 workers leave some idle in the shared pool: 3 seeds, 4 files.
         runs = {}
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             monkeypatch.setenv(WORKERS_ENV_VAR, workers)
             out = tmp_path / f"w{workers}"
             code = self.run_cli(
@@ -541,11 +604,12 @@ class TestCli:
             printed = capsys.readouterr().out.replace(str(out), "<out>")
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             runs[workers] = printed, files
-        (serial_out, serial_files), (pooled_out, pooled_files) = runs["1"], runs["2"]
+        serial_out, serial_files = runs["1"]
         names = ["comparison.json", "curves_0_mtrl.csv", "curves_1_lll.csv", "per_task_1_lll.csv"]
         assert list(serial_files) == names
-        assert serial_files == pooled_files
-        assert serial_out == pooled_out
+        for pooled_out, pooled_files in (runs["2"], runs["3"]):
+            assert serial_files == pooled_files
+            assert serial_out == pooled_out
         wrote = [line for line in serial_out.splitlines() if line.startswith("wrote ")]
         assert wrote == [f"wrote <out>/{name}" for name in names]
 
@@ -570,6 +634,23 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == [
             "comparison.json", "curves_0_mtrl.csv", "curves_1_independent.csv"
         ]
+
+    def test_failed_run_in_the_shared_pool_exits_2(self, tmp_path, capsys, monkeypatch):
+        # independent runs; then mtrl's Stage 1 does not fit in T=100, in a worker.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        out = tmp_path / "D"
+        code = self.run_cli(
+            "compare", "--algorithms", "independent,mtrl", "--d", "10", "--k", "2",
+            "--M", "2", "--T", "100", "--seeds", "2", "--out-dir", str(out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "HorizonTooShortError"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
