@@ -34,7 +34,7 @@ ACTION_NORM_ATOL = 1e-9
 UNIT_THETA_ATOL = 1e-10
 RANK_SIGMA_MIN = 1e-8
 REGRET_SLACK = 1e-9  # tolerated roundoff outside [0, 2] before raising
-INTERLEAVED_CHUNK = 1 << 16  # entries per chunk of an interleaved record
+INTERLEAVED_CHUNK = 1 << 16  # entries, or checkpoints, per chunk of an interleaved record
 # Rewards are about noise_std in size and the estimators sum their squares:
 # below this bound the sum stays finite over any int64 count of pulls.
 MAX_NOISE_STD = 1e100  # 1e200 * 2**63 < 1.8e308
@@ -316,11 +316,12 @@ class RegretLedger:
         """Account a ``(num_tasks, columns)`` matrix in step-major order.
 
         At each step every task pulls once, and column ``j`` is paid at
-        ``repeat`` consecutive steps.  The step-major sequence is cumulated in
-        chunks of about ``INTERLEAVED_CHUNK`` entries.  Each chunk's cumsum
-        starts from the previous chunk's last partial sum, so every partial
-        sum is the one a single ``np.cumsum`` over the whole sequence gives,
-        and memory does not grow with ``repeat``.
+        ``repeat`` consecutive steps.  Every partial sum and the total are
+        those of one ``np.cumsum`` over the whole step-major sequence, and
+        ``per_task`` gains each task's row as ``np.sum`` adds it, bit for bit
+        (``_StepMajorSum`` and ``_repeated_sums`` say how).  Memory does not
+        grow with ``repeat``, and time grows with it only where whole periods
+        cannot be jumped (``_StepMajorSum.periodic``).
         """
         if repeat < 0:
             raise ValueError(f"repeat must be >= 0, got {repeat}")
@@ -331,38 +332,19 @@ class RegretLedger:
                 f"expected shape ({num_tasks}, columns), got {regrets.shape}"
             )
         steps = regrets.shape[1] * repeat
-        # A view, not a copy, when columns == 1 or repeat == 1.
-        repeated = np.broadcast_to(regrets[:, :, None], regrets.shape + (repeat,))
-        self.per_task += repeated.reshape(num_tasks, steps).sum(axis=1)
         count = num_tasks * steps
         if count == 0:
             return
-        rows = min(steps, max(1, INTERLEAVED_CHUNK // num_tasks))  # steps per chunk
-        buf = np.empty(rows * num_tasks + 1)  # [carry, chunk...], cumulated in place
-        if self.trace_stride:  # the stride grid's pulls, as offsets into this call's sequence
-            stride = self.trace_stride
-            idx = np.arange(stride - 1 - self.num_pulls % stride, count, stride)
-            picked = np.empty(idx.size)
-        carry, done = 0.0, 0
-        for first in range(0, steps, rows):
-            last = min(first + rows, steps)
-            size = (last - first) * num_tasks
-            chunk = buf[1 : size + 1].reshape(last - first, num_tasks)
-            if first // repeat == (last - 1) // repeat:  # inside one column
-                chunk[:] = regrets[:, first // repeat]
-            else:  # gathers this chunk's columns only; np.take on regrets.T copies them all
-                chunk[:] = regrets[:, np.arange(first, last) // repeat].T
-            buf[0] = carry
-            cums = np.cumsum(buf[: size + 1], out=buf[: size + 1])[1:]
-            offset = first * num_tasks
-            if self.trace_stride:
-                end = np.searchsorted(idx, offset + size)
-                picked[done:end] = cums[idx[done:end] - offset]
-                done = end
-            carry = cums[-1]
+        self.per_task += regrets.sum(axis=1) if repeat == 1 else _repeated_sums(regrets, repeat)
+        run = _StepMajorSum(num_tasks, self.num_pulls, self.trace_stride, count)
+        if repeat == 1:
+            run.serial(regrets)
+        else:
+            for column in regrets.T:
+                run.periodic(column, repeat)
         if self.trace_stride:
-            self._segments.append((self.num_pulls, count, self.total, picked))
-        self.total += float(carry)
+            self._segments.append((self.num_pulls, count, self.total, run.picked))
+        self.total += run.carry
         self.num_pulls += count
 
     @classmethod
@@ -430,3 +412,155 @@ class RegretLedger:
                 np.add(total, (ts[a:b] - pulls) * value, out=cums[a:b])
         cums[-1] = self.total
         return ts, cums
+
+
+def _repeated_sums(regrets: np.ndarray, repeat: int) -> np.ndarray:
+    """``np.repeat(regrets, repeat, axis=1).sum(axis=1)``, bit for bit, in
+    O(columns * log(repeat)) small sums.
+
+    ``np.sum`` adds a contiguous row pairwise: a part of more than 128
+    entries is split after ``n // 2`` entries, rounded down to a multiple of
+    8, and each half is summed the same way.  So the parts are followed down
+    to 128 entries, which numpy sums on their materialised entries, and a
+    part that lies inside one column, whose sum only its column and length
+    set, is summed once.  The split is numpy's, not its documented contract:
+    the ledger tests compare with ``np.sum`` of the materialised rows, so a
+    numpy that splits otherwise fails them instead of moving bits unseen.
+    """
+    memo: dict[tuple[int, int], np.ndarray] = {}
+
+    def part(start: int, n: int) -> np.ndarray:
+        column = start // repeat
+        key = (column, n) if column == (start + n - 1) // repeat else None
+        if key in memo:
+            return memo[key]
+        if n <= 128:  # a C-contiguous copy: numpy sums its rows pairwise
+            entries = regrets[:, np.arange(start, start + n) // repeat]
+            value = np.ascontiguousarray(entries).sum(axis=1)
+        else:
+            half = n // 2 - n // 2 % 8
+            value = part(start, half) + part(start + half, n - half)
+        if key is not None:
+            memo[key] = value
+        return value
+
+    return part(0, regrets.shape[1] * repeat)
+
+
+class _StepMajorSum:
+    """The running sum of one ``record_interleaved`` call, from 0.0, and the
+    partial sums it picks at the trace checkpoints.
+
+    ``serial`` cumulates columns in chunks of about ``INTERLEAVED_CHUNK``
+    entries; each chunk's cumsum starts from the previous chunk's last
+    partial sum, so every partial sum is the one a single ``np.cumsum``
+    gives.  ``periodic`` adds a column repeated for many steps, a sequence
+    with period ``num_tasks``, and gets the same bits without adding each
+    pull:
+
+    * Every double in ``[2**(e-1), 2**e)`` is an integer multiple of the
+      ulp ``u = 2**(e-53)``, and so is ``2**e``; below ``2**-1021`` every
+      double is a multiple of ``2**-1074``.  The running sum ``s`` never
+      decreases, since every entry is in [0, 2].
+    * So while ``s + c`` stays at or below ``2**e``, round-to-nearest gives
+      ``fl(s + c) = s + rint(c / u) * u``, unless ``c / u`` ends in exactly
+      .5: such a tie rounds to the even neighbour of ``s + c``, which
+      depends on ``s``.
+    * Without a tie, a period adds the integer ``P = sum(rint(c / u))``
+      ulps, and the partial sum after entry ``j`` of period ``p`` is
+      ``(s / u + p * P + Q[j]) * u``, with ``Q`` the prefix sums of the
+      rounded column.  That holds for every whole period whose end stays at
+      or below ``2**53`` ulps, and int64 holds every term once ``s`` is at
+      least the column's sum.
+    * Otherwise (a tie, ``s`` below the column's sum, or less than one
+      period left in the binade) the pulls are cumulated serially, up to
+      the end of the binade (or past the column's sum), and the periodic
+      path is tried again.  Ties are common in the first binades: ``1 -
+      mean`` is a multiple of ``2**-53``.  Within one binade, a tie recurs
+      at every period, so the serial stretch runs to its end.
+    """
+
+    def __init__(self, num_tasks: int, base: int, stride: int, count: int):
+        self.num_tasks = num_tasks
+        self.base, self.stride = base, stride  # pulls before the call; 0: no trace
+        self.picked = np.empty(self._points(count) if stride else 0)
+        self.carry = 0.0
+        self.done = 0  # entries of the call's sequence summed so far
+        rows = min(count // num_tasks, max(1, INTERLEAVED_CHUNK // num_tasks))  # steps per chunk
+        self.buf = np.empty(rows * num_tasks + 1)  # [carry, chunk...], cumulated in place
+
+    def _points(self, offset: int) -> int:
+        """How many checkpoints (pulls on the stride grid) the call's first
+        ``offset`` entries hold."""
+        return (self.base + offset) // self.stride - self.base // self.stride
+
+    def _offset(self, point: int) -> int:
+        """The index in the call's sequence of checkpoint ``point``."""
+        return (self.base // self.stride + 1 + point) * self.stride - self.base - 1
+
+    def serial(self, columns: np.ndarray) -> None:
+        """Cumulate a ``(num_tasks, steps)`` matrix, one step after another."""
+        num_tasks, steps = columns.shape
+        rows = (self.buf.size - 1) // num_tasks
+        for first in range(0, steps, rows):
+            last = min(first + rows, steps)
+            size = (last - first) * num_tasks
+            buf = self.buf[: size + 1]
+            buf[1:].reshape(last - first, num_tasks)[:] = columns[:, first:last].T
+            buf[0] = self.carry
+            cums = np.cumsum(buf, out=buf)[1:]
+            if self.stride:
+                a, b = self._points(self.done), self._points(self.done + size)
+                start = self._offset(a) - self.done
+                self.picked[a:b] = cums[start :: self.stride][: b - a]
+            self.carry = float(cums[-1])
+            self.done += size
+
+    def periodic(self, column: np.ndarray, repeat: int) -> None:
+        """Cumulate ``column`` at each of ``repeat`` steps: whole periods at
+        once within a binade, serially where that would not be exact."""
+        column_sum = float(column.sum())  # at least each entry: rounding is monotone
+        left = repeat
+        while left:
+            s = self.carry
+            exponent = max(math.frexp(s)[1], -1021)  # s < 2**exponent
+            unit = math.ldexp(1.0, exponent - 53)
+            if s >= column_sum:
+                scaled = column / unit  # exact: a power of two, and at most 2**53
+                ulps = np.rint(scaled)
+                if not np.any(np.abs(scaled - ulps) == 0.5):
+                    prefix = np.cumsum(ulps.astype(np.int64))
+                    period = int(prefix[-1])
+                    at = int(s / unit)
+                    jump = left if period == 0 else min(left, ((1 << 53) - at) // period)
+                    if jump:
+                        self._jump(at, prefix, unit, jump)
+                        left -= jump
+                        continue
+            target = column_sum if s < column_sum else math.ldexp(1.0, exponent)
+            steps = min(left, int((target - s) / column_sum) + 1)
+            self.serial(np.broadcast_to(column[:, None], (self.num_tasks, steps)))
+            left -= steps
+
+    def _jump(self, at: int, prefix: np.ndarray, unit: float, periods: int) -> None:
+        """Add ``periods`` whole periods of a column from ``at`` ulps: the
+        partial sum after entry ``j`` of period ``p`` is ``(at + p * prefix[-1]
+        + prefix[j]) * unit``, built in int64 one bounded chunk of checkpoints
+        at a time."""
+        num_tasks, period = self.num_tasks, int(prefix[-1])
+        end = self.done + periods * num_tasks
+        if self.stride:
+            a, b = self._points(self.done), self._points(end)
+            for lo in range(a, b, INTERLEAVED_CHUNK):
+                hi = min(lo + INTERLEAVED_CHUNK, b)
+                sums = np.arange(lo, hi, dtype=np.int64)  # becomes the partial sums in ulps
+                sums *= self.stride
+                sums += self._offset(0) - self.done  # the checkpoints' entries in the jump
+                entry = sums % num_tasks
+                sums //= num_tasks  # the period
+                sums *= period
+                sums += prefix[entry]
+                sums += at
+                np.multiply(sums, unit, out=self.picked[lo:hi])  # exact: at most 2**53 ulps
+        self.carry = float(at + periods * period) * unit
+        self.done = end

@@ -321,8 +321,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
     """
     config.validate()
     files = 0 if config.out_dir is None else 1 + _record_file_count(config)
+    try:  # before the first replicate, so a count no list can hold fails at once
+        replicates = [config] * config.num_seeds
+    except MemoryError:
+        raise ConfigError(
+            f"num_seeds: {config.num_seeds} replicates do not fit in one list"
+        ) from None
     with _pool(_worker_count(max(config.num_seeds, files))) as run_all:
-        records = list(run_all(_run_single, [config] * config.num_seeds, range(config.num_seeds)))
+        records = list(run_all(_run_single, replicates, range(config.num_seeds)))
         written: list[Path] = []
         if config.out_dir is not None:
             out_dir = Path(config.out_dir)

@@ -68,24 +68,37 @@ def test_option_edge_exits_0_or_2_with_one_json_line(tmp_path, monkeypatch, caps
         assert set(json.loads(lines[0])) == {"error", "message"}
 
 
-def test_largest_accepted_task_count_exits_2():
-    # --M 2**63 - 1 passes validation; its task weights fit in no array.  In a
-    # subprocess under an address-space limit and a timeout, so a run that
-    # allocates or loops by the task count fails the test instead of the host.
+def run_limited(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -m lowrank_bandits *args`` in a subprocess under an address-space
+    limit and a timeout, so a run that allocates or loops by a count it was
+    given fails the test instead of the host."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, WORKERS_ENV_VAR: "1", "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     limit = 4 * 2**30
-    done = subprocess.run(
-        [sys.executable, "-m", "lowrank_bandits", "mtrl", "--M", str(MAX_COUNT), "--seeds", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "lowrank_bandits", *args],
         env=env, capture_output=True, text=True, timeout=20,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def assert_config_error(done: subprocess.CompletedProcess, message: str) -> None:
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0]) == {
-        "error": "ConfigError",
-        "message": f"num_tasks: {MAX_COUNT} task weights do not fit in one array",
-    }
+    assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
+
+
+def test_largest_accepted_task_count_exits_2():
+    # --M 2**63 - 1 passes validation; its task weights fit in no array.
+    done = run_limited(["mtrl", "--M", str(MAX_COUNT), "--seeds", "1"])
+    assert_config_error(done, f"num_tasks: {MAX_COUNT} task weights do not fit in one array")
+
+
+def test_seed_count_no_list_holds_exits_2():
+    # --seeds 2**62 passes validation; its replicates fit in no list.
+    seeds = 2**62
+    done = run_limited(["mtrl", "--seeds", str(seeds), "--d", "3", "--k", "1", "--M", "2", "--T", "300"])
+    assert_config_error(done, f"num_seeds: {seeds} replicates do not fit in one list")

@@ -1,9 +1,16 @@
+import itertools
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lowrank_bandits import env
 from lowrank_bandits.env import (
     ACTION_NORM_ATOL,
     INTERLEAVED_CHUNK,
@@ -714,3 +721,120 @@ class TestRecordInterleavedBlock:
             tracemalloc.stop()
         assert ledger.num_pulls == num_tasks * steps
         assert peak < 8 * 2**20  # one materialised (200, 1e5) matrix alone is 160 MB
+
+
+class TestPeriodicPath:
+    """A repeated column steps whole periods through each binade at once; its
+    points, total and per-task sums must keep every bit of the materialised
+    sequence's."""
+
+    VALUES = {
+        # 1 - mean, as instant_regret gives: multiples of 2**-53, ties from 1 up
+        "one_minus_mean": lambda rng, n: 1.0 - rng.uniform(0.5, 1.0, n),
+        # multiples of 2**-40: ties while the sum is in [2**12, 2**15) or so
+        "short_mantissas": lambda rng, n: rng.integers(0, 2**41 + 1, n) * 2.0**-40,
+        "specials": lambda rng, n: rng.choice([0.0, -0.0, 2.0, 5e-324, 1e-300, 0.5, 0.25], n),
+        "zeros": lambda rng, n: rng.choice([0.0, -0.0], n),
+        # past 1024 tasks, entries in ulps of a sum below the column's would overflow int64
+        "near_two": lambda rng, n: 2.0 - rng.uniform(0.0, 1e-9, n),
+        "uniform": lambda rng, n: rng.uniform(0.0, 2.0, n),
+    }
+
+    @pytest.mark.parametrize("prior", [False, True])
+    @pytest.mark.parametrize("stride", [0, 1, 7, "beyond"])
+    @pytest.mark.parametrize(
+        "num_tasks,columns,repeat",
+        [
+            (1, 1, 20_000),
+            (7, 1, 3_000),
+            (300, 1, 500),
+            (1100, 1, 40),
+            (5, 3, 700),  # the sum carries from column to column
+            (INTERLEAVED_CHUNK + 3, 1, 3),
+        ],
+    )
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_bit_identical_to_the_materialised_cumsum(self, kind, num_tasks, columns, repeat, stride, prior):
+        rng = np.random.default_rng([num_tasks, columns, repeat, len(kind)])
+        regrets = self.VALUES[kind](rng, num_tasks * columns).reshape(num_tasks, columns)
+        if stride == "beyond":
+            stride = regrets.size * repeat + 50
+        ledger = RegretLedger(num_tasks, stride)
+        if prior:
+            ledger.record_interleaved(rng.uniform(0, 2, size=(num_tasks, 3)))
+            ledger.record_block(num_tasks - 1, 0.3, 11)
+        total, pulls, per_task = ledger.total, ledger.num_pulls, ledger.per_task.copy()
+        ledger.record_interleaved(regrets, repeat)
+
+        materialised = np.repeat(regrets, repeat, axis=1)
+        count = materialised.size
+        cums = total + np.cumsum(materialised.T.ravel())
+        assert ledger.num_pulls == pulls + count
+        assert ledger.total == cums[-1]
+        assert ledger.per_task.tobytes() == (per_task + materialised.sum(axis=1)).tobytes()
+        got_t, got_c = ledger.trace()
+        if stride == 0:
+            assert got_t.size == 0
+            return
+        ts = np.arange((pulls // stride + 1) * stride, pulls + count + 1, stride)
+        if ts.size == 0 or ts[-1] != pulls + count:
+            ts = np.append(ts, pulls + count)
+        after = got_t > pulls
+        assert np.array_equal(got_t[after], ts)
+        assert got_c[after].tobytes() == cums[ts - pulls - 1].tobytes()
+
+    @pytest.mark.parametrize("start,periods", [(1.0, 17), (1.25, 247), (1.5, 2763), (1.75, 5)])
+    def test_a_jump_stops_at_the_end_of_its_binade(self, start, periods):
+        # The first column takes the sum to exactly `start`, A = start * 2**52
+        # ulps of 2**-52.  The second adds P + 1/4 ulps per pull, where
+        # A + periods * P = 2**53 + 1: whole periods fit up to 2**53 - P + 1
+        # ulps, and the pull after them ends past 2**53, where the ulp doubles,
+        # so it rounds to 2 + 2**-51, not to 2.0.
+        repeat = 8192
+        ulps = (2**53 + 1 - int(start * 2**52)) // periods
+        regrets = np.array([[start / repeat, (ulps + 0.25) * 2.0**-52]])
+        ledger = RegretLedger(1, trace_stride=1)
+        ledger.record_interleaved(regrets, repeat)
+        cums = np.cumsum(np.repeat(regrets, repeat, axis=1).ravel())
+        assert cums[repeat - 1] == start and cums[repeat + periods - 1] == 2 + 2.0**-51
+        assert ledger.trace()[1].tobytes() == cums.tobytes()
+
+    def test_a_sum_below_the_column_sum_is_cumulated_serially(self):
+        # The second column starts at a sum of 2 - 2**-52: at least each of its
+        # entries, below their sum.  In ulps of that sum, 2**-52, its 1100
+        # entries near 2 add up to about 1100 * 2**53, past int64.
+        rng = np.random.default_rng(6)
+        regrets = np.zeros((1100, 2))
+        regrets[0, 0] = 1 - 2.0**-53
+        regrets[:, 1] = 2.0 - rng.integers(1, 1000, 1100) * 2.0**-51
+        ledger = RegretLedger(1100, trace_stride=1)
+        ledger.record_interleaved(regrets, 2)
+        cums = np.cumsum(np.repeat(regrets, 2, axis=1).T.ravel())
+        assert cums[1100 * 2 - 1] == 2 - 2.0**-52 >= regrets[:, 1].max()
+        assert ledger.trace()[1].tobytes() == cums.tobytes()
+
+    def test_a_trillion_pull_commit_takes_seconds(self):
+        # 1000 tasks for 10**9 steps: cumulating each pull would take about an
+        # hour.  Every sum is a multiple of 1/4 below 2**51, so exact: the
+        # point after pull g is (g // 1000) * 375 plus the prefix of its step.
+        code = (
+            "import json, numpy as np\n"
+            "from lowrank_bandits.env import RegretLedger\n"
+            "ledger = RegretLedger(1000, trace_stride=10**9 + 1)\n"
+            "ledger.record_interleaved(np.tile([0.5, 0.25], 500)[:, None], 10**9)\n"
+            "ts, cums = ledger.trace()\n"
+            "print(json.dumps([ledger.total, ts.tolist(), cums.tolist(), ledger.per_task.tolist()]))\n"
+        )
+        src = str(Path(env.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert done.returncode == 0, done.stderr
+        total, ts, cums, per_task = json.loads(done.stdout)
+        values = [0.5, 0.25] * 500
+        prefix = [0.0, *itertools.accumulate(values)]
+        assert total == 375 * 10**9
+        assert ts == [*range(10**9 + 1, 10**12 + 1, 10**9 + 1), 10**12]
+        assert cums == [(g // 1000) * 375 + prefix[g % 1000] for g in ts]
+        assert per_task == [value * 10**9 for value in values]
