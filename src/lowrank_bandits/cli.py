@@ -87,7 +87,10 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     values = {}
     if args.config_file:
         with open(args.config_file) as handle:
-            file_values = json.load(handle)
+            try:
+                file_values = json.load(handle)
+            except RecursionError:  # the parser recurses once per level of nesting
+                raise ConfigError(f"config: {args.config_file} is nested too deeply to parse") from None
         if not isinstance(file_values, dict):
             raise ConfigError("config: file must hold a JSON object")
         unknown = set(file_values) - set(keys)

@@ -11,10 +11,9 @@ carry no reward-noise variance.
 
 Inputs are validated once, where they enter: ``InstanceSpec.validate`` checks
 an instance's parameters, ``_mean_rewards`` checks every oracle call's task
-index, action dimension and unit ball (the one-action oracles first reject
-any shape but ``(dim,)`` in ``_one_action``), and ``RegretLedger``'s
-``record_*`` methods check the task, the regret range and the count of
-every record.
+index, action dimension and unit ball (the one-action oracles first reject any
+shape but ``(dim,)`` in ``_one_action``), and ``RegretLedger``'s ``record_*``
+methods check the regret range and the count of every record.
 Everything between (the learners' loops, ``pull_block_mean``'s regret)
 reuses those checked values instead of checking them again.
 """
@@ -242,10 +241,9 @@ def instant_regret_many(
 class RegretLedger:
     """Per-pull expected-regret accounting for one simulation run.
 
-    Tracks per-task sums, the global cumulative sum, the pull counter, and
-    an optional thinned trace of ``(pull_index, cumulative_regret)`` pairs
-    taken every ``trace_stride`` pulls (plus the final pull).
-    ``trace_stride=0`` disables the trace; totals are still exact.
+    Tracks the cumulative sum, the pull counter and a thinned trace of
+    ``(pull_index, cumulative_regret)`` pairs every ``trace_stride`` pulls,
+    plus the final pull; ``trace_stride=0`` disables the trace, not the total.
 
     The trace is kept as one segment per record, ``(num_pulls, count,
     total, value)`` as they stood when the record began: a block's
@@ -272,7 +270,6 @@ class RegretLedger:
             raise ValueError(f"trace_stride must be >= 0, got {trace_stride}")
         self.num_tasks = int(num_tasks)
         self.trace_stride = int(trace_stride)
-        self.per_task = np.zeros(num_tasks)
         self.total = 0.0
         self.num_pulls = 0
         self._segments: list[tuple[int, int, float, float | np.ndarray]] = []
@@ -289,17 +286,15 @@ class RegretLedger:
                 return values
         return np.clip(values, 0.0, 2.0)
 
-    def record_block(self, task: int, value: float, count: int) -> None:
-        """Account ``count`` pulls of one task at per-pull regret ``value``.
+    def record_block(self, value: float, count: int) -> None:
+        """Account ``count`` pulls at per-pull regret ``value``.
 
         ``value`` gets ``_validated``'s bounds, clip and message, checked on
-        the scalar; all three arguments are checked even when ``count`` is 0.
+        the scalar; both arguments are checked even when ``count`` is 0.
         """
         count = operator.index(count)
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if not 0 <= task < self.num_tasks:
-            raise ValueError(f"task index {task} out of range")
         value = float(value)
         if not -REGRET_SLACK <= value <= 2.0 + REGRET_SLACK:  # NaN fails too
             raise ValueError(f"regret outside [0, 2]: range [{value}, {value}]")
@@ -308,7 +303,6 @@ class RegretLedger:
             return
         if self.trace_stride:
             self._segments.append((self.num_pulls, count, self.total, value))
-        self.per_task[task] += value * count
         self.total += value * count
         self.num_pulls += count
 
@@ -316,12 +310,10 @@ class RegretLedger:
         """Account a ``(num_tasks, columns)`` matrix in step-major order.
 
         At each step every task pulls once, and column ``j`` is paid at
-        ``repeat`` consecutive steps.  Every partial sum and the total are
-        those of one ``np.cumsum`` over the whole step-major sequence, and
-        ``per_task`` gains each task's row as ``np.sum`` adds it, bit for bit
-        (``_StepMajorSum`` and ``_repeated_sums`` say how).  Memory does not
-        grow with ``repeat``, and time grows with it only where whole periods
-        cannot be jumped (``_StepMajorSum.periodic``).
+        ``repeat`` consecutive steps.  Every partial sum and the total keep
+        the bits of one ``np.cumsum`` over the step-major sequence.  Memory
+        does not grow with ``repeat``, and time grows with it only where
+        whole periods cannot be jumped; ``_StepMajorSum`` says how.
         """
         if repeat < 0:
             raise ValueError(f"repeat must be >= 0, got {repeat}")
@@ -335,7 +327,6 @@ class RegretLedger:
         count = num_tasks * steps
         if count == 0:
             return
-        self.per_task += regrets.sum(axis=1) if repeat == 1 else _repeated_sums(regrets, repeat)
         run = _StepMajorSum(num_tasks, self.num_pulls, self.trace_stride, count)
         if repeat == 1:
             run.serial(regrets)
@@ -355,8 +346,7 @@ class RegretLedger:
         ``ts[0]`` up to the last pull, plus the last pull when it is off
         the grid; anything else raises ``ValueError``.  The points become
         one segment based at ``-0.0``, the additive identity, so every
-        value keeps its bits, ``-0.0`` included.  A trace holds no
-        per-task sums: ``per_task`` stays zero.
+        value keeps its bits, ``-0.0`` included.
         """
         ts = np.asarray(ts)
         cums = np.asarray(cums, dtype=float)
@@ -412,39 +402,6 @@ class RegretLedger:
                 np.add(total, (ts[a:b] - pulls) * value, out=cums[a:b])
         cums[-1] = self.total
         return ts, cums
-
-
-def _repeated_sums(regrets: np.ndarray, repeat: int) -> np.ndarray:
-    """``np.repeat(regrets, repeat, axis=1).sum(axis=1)``, bit for bit, in
-    O(columns * log(repeat)) small sums.
-
-    ``np.sum`` adds a contiguous row pairwise: a part of more than 128
-    entries is split after ``n // 2`` entries, rounded down to a multiple of
-    8, and each half is summed the same way.  So the parts are followed down
-    to 128 entries, which numpy sums on their materialised entries, and a
-    part that lies inside one column, whose sum only its column and length
-    set, is summed once.  The split is numpy's, not its documented contract:
-    the ledger tests compare with ``np.sum`` of the materialised rows, so a
-    numpy that splits otherwise fails them instead of moving bits unseen.
-    """
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def part(start: int, n: int) -> np.ndarray:
-        column = start // repeat
-        key = (column, n) if column == (start + n - 1) // repeat else None
-        if key in memo:
-            return memo[key]
-        if n <= 128:  # a C-contiguous copy: numpy sums its rows pairwise
-            entries = regrets[:, np.arange(start, start + n) // repeat]
-            value = np.ascontiguousarray(entries).sum(axis=1)
-        else:
-            half = n // 2 - n // 2 % 8
-            value = part(start, half) + part(start + half, n - half)
-        if key is not None:
-            memo[key] = value
-        return value
-
-    return part(0, regrets.shape[1] * repeat)
 
 
 class _StepMajorSum:

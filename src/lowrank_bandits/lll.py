@@ -159,7 +159,7 @@ def task_specific_exploration(
     w_tilde = np.zeros(width)
     for j in range(width):
         w_tilde[j], regret = pull_block_mean(instance, task, basis[:, j], n1_per_column, rng)
-        ledger.record_block(task, regret, n1_per_column)
+        ledger.record_block(regret, n1_per_column)
     return basis @ w_tilde, w_tilde
 
 
@@ -334,7 +334,7 @@ def run_lll(
             action = argmax_unit_ball(theta_hat)
             gap = instant_regret(instance, task, action)
             commit_before = ledger.total
-            ledger.record_block(task, gap, horizon - used)
+            ledger.record_block(gap, horizon - used)
             state.per_task_commit_regret[task] = ledger.total - commit_before
         state.per_task_regret[task] = ledger.total - regret_before
 

@@ -173,7 +173,7 @@ class TestHorizonOne:
         assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
         assert ledger.num_pulls == inst.num_tasks
         # the blind action is the first standard basis vector
-        assert np.array_equal(ledger.per_task, 1.0 - inst.thetas[0])
+        assert np.array_equal(ledger.trace()[1], np.cumsum(1.0 - inst.thetas[0]))
 
 
 class TestNoiselessOracleRequiresNoiseless:

@@ -102,3 +102,11 @@ def test_seed_count_no_list_holds_exits_2():
     seeds = 2**62
     done = run_limited(["mtrl", "--seeds", str(seeds), "--d", "3", "--k", "1", "--M", "2", "--T", "300"])
     assert_config_error(done, f"num_seeds: {seeds} replicates do not fit in one list")
+
+
+def test_deeply_nested_config_exits_2(tmp_path):
+    # json.load recurses once per level; 1e5 levels pass Python's recursion limit.
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100_000 + "]" * 100_000)
+    done = run_limited(["mtrl", "--config", str(config), "--seeds", "1"])
+    assert_config_error(done, f"config: {config} is nested too deeply to parse")

@@ -300,19 +300,15 @@ class TestRegretLedger:
     def brute_force(self, events, num_tasks, stride):
         """Oracle: replay events pull by pull and thin the cumulative sums."""
         flat = []
-        per_task = np.zeros(num_tasks)
-        for kind, task, payload in events:
+        for kind, _, payload in events:
             if kind == "block":
                 value, count = payload
                 flat.extend([value] * count)
-                per_task[task] += value * count
             elif kind == "array":
                 flat.extend(payload)
-                per_task[task] += sum(payload)
             else:  # interleaved matrix
                 matrix = np.asarray(payload)
                 flat.extend(matrix.T.ravel())
-                per_task += matrix.sum(axis=1)
         cums = np.cumsum(flat)
         ts = np.arange(stride, len(flat) + 1, stride)
         trace_t = list(ts)
@@ -320,7 +316,7 @@ class TestRegretLedger:
         if not trace_t or trace_t[-1] != len(flat):
             trace_t.append(len(flat))
             trace_c.append(cums[-1])
-        return per_task, float(cums[-1]), np.array(trace_t), np.array(trace_c)
+        return float(cums[-1]), np.array(trace_t), np.array(trace_c)
 
     def test_mixed_recording_matches_brute_force(self):
         rng = np.random.default_rng(40)
@@ -331,16 +327,15 @@ class TestRegretLedger:
             ("block", 2, (1.25, 4)),
         ]
         ledger = RegretLedger(3, trace_stride=5)
-        for kind, task, payload in events:
+        for kind, _, payload in events:
             if kind == "block":
-                ledger.record_block(task, payload[0], payload[1])
+                ledger.record_block(payload[0], payload[1])
             elif kind == "array":  # one task's per-step regrets
                 for value in payload:
-                    ledger.record_block(task, value, 1)
+                    ledger.record_block(value, 1)
             else:
                 ledger.record_interleaved(payload)
-        per_task, total, ts, cums = self.brute_force(events, 3, 5)
-        assert np.allclose(ledger.per_task, per_task, atol=1e-12)
+        total, ts, cums = self.brute_force(events, 3, 5)
         assert ledger.total == pytest.approx(total, abs=1e-12)
         got_t, got_c = ledger.trace()
         assert np.array_equal(got_t, ts)
@@ -358,20 +353,20 @@ class TestRegretLedger:
     def test_out_of_range_regret_rejected(self):
         ledger = RegretLedger(1, 0)
         with pytest.raises(ValueError):
-            ledger.record_block(0, 2.5, 3)
+            ledger.record_block(2.5, 3)
         with pytest.raises(ValueError):
-            ledger.record_block(0, -0.2, 1)
+            ledger.record_block(-0.2, 1)
         with pytest.raises(ValueError):
             ledger.record_interleaved(np.array([[0.5, 2.5]]))
         with pytest.raises(ValueError):
-            ledger.record_block(0, np.nan, 5)
+            ledger.record_block(np.nan, 5)
         with pytest.raises(ValueError):
             ledger.record_interleaved(np.array([[0.5, np.nan, 1.0]]))
         assert ledger.num_pulls == 0 and ledger.total == 0.0
 
     def test_roundoff_slack_clipped(self):
         ledger = RegretLedger(1, 0)
-        ledger.record_block(0, -1e-12, 5)
+        ledger.record_block(-1e-12, 5)
         assert ledger.total == 0.0
 
     @pytest.mark.parametrize(
@@ -379,7 +374,7 @@ class TestRegretLedger:
     )
     def test_block_check_matches_the_array_check(self, value):
         ledger = RegretLedger(1, trace_stride=1)
-        ledger.record_block(0, value, 3)
+        ledger.record_block(value, 3)
         recorded = ledger._segments[-1][3]
         assert type(recorded) is float
         assert recorded.hex() == float(RegretLedger._validated(np.array([value]))[0]).hex()
@@ -389,34 +384,32 @@ class TestRegretLedger:
     def test_block_rejects_out_of_range_at_any_count(self, value, count):
         ledger = RegretLedger(1, trace_stride=1)
         with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
-            ledger.record_block(0, value, count)
+            ledger.record_block(value, count)
         assert ledger.num_pulls == 0 and ledger.total == 0.0 and not ledger._segments
 
     def test_zero_count_block_checks_task_and_count(self):
         ledger = RegretLedger(2, trace_stride=1)
         with pytest.raises(ValueError):
-            ledger.record_block(-7, np.nan, 0)
-        with pytest.raises(ValueError, match="task index"):
-            ledger.record_block(2, 0.5, 0)
+            ledger.record_block(np.nan, 0)
         with pytest.raises(TypeError):
-            ledger.record_block(0, 0.5, 2.5)
+            ledger.record_block(0.5, 2.5)
         with pytest.raises(ValueError, match="count"):
-            ledger.record_block(0, 0.5, -1)
-        ledger.record_block(1, 0.5, 0)
-        ledger.record_block(1, 0.5, np.int64(2))
+            ledger.record_block(0.5, -1)
+        ledger.record_block(0.5, 0)
+        ledger.record_block(0.5, np.int64(2))
         assert type(ledger.num_pulls) is int and ledger.num_pulls == 2
         assert ledger.total == 1.0 and len(ledger._segments) == 1
 
     def test_stride_zero_disables_trace(self):
         ledger = RegretLedger(1, 0)
-        ledger.record_block(0, 1.0, 10)
+        ledger.record_block(1.0, 10)
         ts, cums = ledger.trace()
         assert ts.size == 0 and cums.size == 0
         assert ledger.total == 10.0
 
     def test_final_point_always_present(self):
         ledger = RegretLedger(1, trace_stride=4)
-        ledger.record_block(0, 1.0, 10)
+        ledger.record_block(1.0, 10)
         ts, cums = ledger.trace()
         assert ts[-1] == 10
         assert cums[-1] == pytest.approx(ledger.total)
@@ -431,7 +424,7 @@ class TestTraceSegments:
         pulls, total, ts, cums = 0, 0.0, [], []
         for kind, payload in events:
             if kind == "block":
-                _, value, count = payload
+                value, count = payload
                 steps = np.arange((pulls // stride + 1) * stride, pulls + count + 1, stride)
                 ts.append(steps)
                 cums.append(total + (steps - pulls) * value)
@@ -456,25 +449,25 @@ class TestTraceSegments:
 
     EVENTS = {
         # blocks shorter than the stride: no grid point inside any of them
-        "short_blocks": [("block", (0, 0.3, 3)), ("block", (1, 0.7, 4)), ("block", (2, 1.9, 2))],
+        "short_blocks": [("block", (0.3, 3)), ("block", (0.7, 4)), ("block", (1.9, 2))],
         "short_then_crossing": [
-            ("block", (0, 0.3, 3)),
-            ("block", (1, 0.7, 4)),
-            ("block", (2, 1.1, 5)),
-            ("block", (0, 0.45, 1)),
+            ("block", (0.3, 3)),
+            ("block", (0.7, 4)),
+            ("block", (1.1, 5)),
+            ("block", (0.45, 1)),
         ],
         # blocks that end on the grid, so num_pulls is a multiple of the stride
-        "on_the_grid": [("block", (0, 0.1 + 0.2, 10)), ("block", (1, 1.5, 10)), ("block", (2, 2.0, 30))],
-        "one_long_block": [("block", (1, 0.123456789, 1003))],
+        "on_the_grid": [("block", (0.1 + 0.2, 10)), ("block", (1.5, 10)), ("block", (2.0, 30))],
+        "one_long_block": [("block", (0.123456789, 1003))],
         "mixed": [
-            ("block", (2, 0.3, 7)),
+            ("block", (0.3, 7)),
             ("interleaved", ("uniform", 4, 1)),
-            ("block", (0, 0.9, 1)),
+            ("block", (0.9, 1)),
             ("interleaved", ("uniform", 1, 17)),
-            ("block", (1, 1e-300, 26)),
+            ("block", (1e-300, 26)),
             ("interleaved", ("uniform", 0, 5)),
             ("interleaved", ("uniform", 3, 2)),
-            ("block", (0, 1.75, 11)),
+            ("block", (1.75, 11)),
         ],
         "interleaved_only": [("interleaved", ("uniform", 5, 3)), ("interleaved", ("uniform", 1, 10))],
     }
@@ -527,19 +520,19 @@ class TestTraceSegments:
 
     def test_grid_placement(self):
         ledger = RegretLedger(1, trace_stride=10)
-        ledger.record_block(0, 1.0, 3)
-        ledger.record_block(0, 1.0, 4)
+        ledger.record_block(1.0, 3)
+        ledger.record_block(1.0, 4)
         assert np.array_equal(ledger.trace()[0], [7])  # no grid point yet: the final pull only
-        ledger.record_block(0, 1.0, 13)
+        ledger.record_block(1.0, 13)
         assert np.array_equal(ledger.trace()[0], [10, 20])  # on the grid: no extra point
-        ledger.record_block(0, 1.0, 1)
+        ledger.record_block(1.0, 1)
         assert np.array_equal(ledger.trace()[0], [10, 20, 21])
 
     def test_block_record_is_constant_size(self):
         ledger = RegretLedger(1, trace_stride=1)
         tracemalloc.start()
         try:
-            ledger.record_block(0, 0.5, 1 << 20)
+            ledger.record_block(0.5, 1 << 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -565,7 +558,7 @@ class TestTraceSegments:
         # array (the checkpoint pull counts) would push the peak past the bound.
         regrets = np.random.default_rng(9).uniform(0, 2, size=(100, 30_000))
         ledger = RegretLedger(100, trace_stride=3)
-        ledger.record_block(7, 0.25, 1)
+        ledger.record_block(0.25, 1)
         tracemalloc.start()
         try:
             ledger.record_interleaved(regrets)
@@ -598,11 +591,11 @@ class TestRecordInterleavedBlock:
         for ledger in ledgers:
             if prior:
                 ledger.record_interleaved(history)
-                ledger.record_block(num_tasks - 1, 0.3, 11)
+                ledger.record_block(0.3, 11)
         ledgers[0].record_interleaved(np.broadcast_to(values[:, None], (num_tasks, steps)))
         ledgers[1].record_interleaved(values[:, None], steps)
         for ledger in ledgers:
-            ledger.record_block(0, 0.7, 5)
+            ledger.record_block(0.7, 5)
         return ledgers
 
     @pytest.mark.parametrize("prior", [False, True])
@@ -631,7 +624,6 @@ class TestRecordInterleavedBlock:
         old, new = self.record_both(num_tasks, steps, stride, prior)
         assert new.total == old.total
         assert new.num_pulls == old.num_pulls
-        assert np.array_equal(new.per_task, old.per_task)
         old_t, old_c = old.trace()
         new_t, new_c = new.trace()
         assert np.array_equal(new_t, old_t)
@@ -664,15 +656,14 @@ class TestRecordInterleavedBlock:
         ledger = RegretLedger(num_tasks, stride)
         if prior:
             ledger.record_interleaved(rng.uniform(0, 2, size=(num_tasks, 3)))
-            ledger.record_block(num_tasks - 1, 0.3, 11)
-        total, pulls, per_task = ledger.total, ledger.num_pulls, ledger.per_task.copy()
+            ledger.record_block(0.3, 11)
+        total, pulls = ledger.total, ledger.num_pulls
         ledger.record_interleaved(regrets, repeat)
 
         materialised = np.repeat(regrets, repeat, axis=1)  # (num_tasks, steps)
         count = materialised.size
         cums = total + np.cumsum(materialised.T.ravel())  # step-major, unchunked
         assert ledger.num_pulls == pulls + count
-        assert np.array_equal(ledger.per_task, per_task + materialised.sum(axis=1))
         assert ledger.total == (cums[-1] if count else total)
         if stride == 0:
             assert ledger.trace()[0].size == 0
@@ -725,8 +716,7 @@ class TestRecordInterleavedBlock:
 
 class TestPeriodicPath:
     """A repeated column steps whole periods through each binade at once; its
-    points, total and per-task sums must keep every bit of the materialised
-    sequence's."""
+    points and total must keep every bit of the materialised sequence's."""
 
     VALUES = {
         # 1 - mean, as instant_regret gives: multiples of 2**-53, ties from 1 up
@@ -762,8 +752,8 @@ class TestPeriodicPath:
         ledger = RegretLedger(num_tasks, stride)
         if prior:
             ledger.record_interleaved(rng.uniform(0, 2, size=(num_tasks, 3)))
-            ledger.record_block(num_tasks - 1, 0.3, 11)
-        total, pulls, per_task = ledger.total, ledger.num_pulls, ledger.per_task.copy()
+            ledger.record_block(0.3, 11)
+        total, pulls = ledger.total, ledger.num_pulls
         ledger.record_interleaved(regrets, repeat)
 
         materialised = np.repeat(regrets, repeat, axis=1)
@@ -771,7 +761,6 @@ class TestPeriodicPath:
         cums = total + np.cumsum(materialised.T.ravel())
         assert ledger.num_pulls == pulls + count
         assert ledger.total == cums[-1]
-        assert ledger.per_task.tobytes() == (per_task + materialised.sum(axis=1)).tobytes()
         got_t, got_c = ledger.trace()
         if stride == 0:
             assert got_t.size == 0
@@ -823,7 +812,7 @@ class TestPeriodicPath:
             "ledger = RegretLedger(1000, trace_stride=10**9 + 1)\n"
             "ledger.record_interleaved(np.tile([0.5, 0.25], 500)[:, None], 10**9)\n"
             "ts, cums = ledger.trace()\n"
-            "print(json.dumps([ledger.total, ts.tolist(), cums.tolist(), ledger.per_task.tolist()]))\n"
+            "print(json.dumps([ledger.total, ts.tolist(), cums.tolist()]))\n"
         )
         src = str(Path(env.__file__).parents[1])
         done = subprocess.run(
@@ -831,10 +820,9 @@ class TestPeriodicPath:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
         )
         assert done.returncode == 0, done.stderr
-        total, ts, cums, per_task = json.loads(done.stdout)
+        total, ts, cums = json.loads(done.stdout)
         values = [0.5, 0.25] * 500
         prefix = [0.0, *itertools.accumulate(values)]
         assert total == 375 * 10**9
         assert ts == [*range(10**9 + 1, 10**12 + 1, 10**9 + 1), 10**12]
         assert cums == [(g // 1000) * 375 + prefix[g % 1000] for g in ts]
-        assert per_task == [value * 10**9 for value in values]

@@ -352,7 +352,7 @@ class TestRoundTrip:
 
         def stride_0_record():
             ledger = RegretLedger(3, trace_stride=0)
-            ledger.record_block(1, 0.1 + 0.2, 7)
+            ledger.record_block(0.1 + 0.2, 7)
             return RunRecord(
                 algorithm="e2tc", dim=10, rep_dim=2, num_tasks=3, horizon=1000,
                 noise_std=1e-300, seed_index=5, final_regret=ledger.total, ledger=ledger,
