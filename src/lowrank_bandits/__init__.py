@@ -27,7 +27,6 @@ from .mtrl import (
 from .baselines import e2tc_squared_estimator, run_e2tc, run_independent_etc
 from .lll import (
     LllState,
-    basis_growth_report,
     extend_basis,
     needs_reestimation,
     run_lll,
@@ -38,8 +37,6 @@ from .harness import (
     ExperimentConfig,
     RunRecord,
     compare,
-    read_curves_csv,
-    read_per_task_csv,
     run_experiment,
     summarize,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "RegretLedger",
     "RunRecord",
     "SingularDesignError",
-    "basis_growth_report",
     "collect_stage1_samples",
     "compare",
     "e2tc_squared_estimator",
@@ -71,8 +67,6 @@ __all__ = [
     "needs_reestimation",
     "pull_block_mean",
     "pull_many",
-    "read_curves_csv",
-    "read_per_task_csv",
     "resolve_budgets",
     "run_e2tc",
     "run_experiment",

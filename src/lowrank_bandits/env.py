@@ -126,7 +126,12 @@ def generate_instance(
         if spec.seed is None:
             raise ConfigError("seed: required when no generator is passed")
         rng = np.random.default_rng(spec.seed)
-    gauss = rng.standard_normal((spec.dim, spec.dim))
+    try:
+        gauss = rng.standard_normal((spec.dim, spec.dim))
+    except ValueError:  # numpy: "array is too big"
+        raise ConfigError(
+            f"dim: a {spec.dim} x {spec.dim} matrix does not fit in one array"
+        ) from None
     q, r = np.linalg.qr(gauss)
     q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
     basis = np.ascontiguousarray(q[:, : spec.rep_dim])
@@ -337,33 +342,6 @@ class RegretLedger:
             self._segments.append((self.num_pulls, count, self.total, run.picked))
         self.total += run.carry
         self.num_pulls += count
-
-    @classmethod
-    def from_trace(cls, ts, cums, num_tasks: int = 1) -> RegretLedger:
-        """The ledger whose ``trace()`` is ``(ts, cums)``, bit for bit.
-
-        ``ts`` must be the grid ``trace`` gives: the multiples of
-        ``ts[0]`` up to the last pull, plus the last pull when it is off
-        the grid; anything else raises ``ValueError``.  The points become
-        one segment based at ``-0.0``, the additive identity, so every
-        value keeps its bits, ``-0.0`` included.
-        """
-        ts = np.asarray(ts)
-        cums = np.asarray(cums, dtype=float)
-        if ts.ndim != 1 or ts.shape != cums.shape or ts.size == 0 or ts[0] < 1:
-            raise ValueError("trace points must be matching 1-D arrays starting at t >= 1")
-        ledger = cls(num_tasks, int(ts[0]))
-        ledger.num_pulls = int(ts[-1])
-        # Sizes first: a malformed last point must not build a huge grid.
-        if ledger.trace_size() != ts.size or not np.array_equal(ledger.trace_grid(), ts):
-            raise ValueError(
-                f"trace points are not the stride-{ledger.trace_stride} grid "
-                f"up to {ledger.num_pulls}"
-            )
-        on_grid = ledger.num_pulls // ledger.trace_stride
-        ledger._segments.append((0, ledger.num_pulls, -0.0, cums[:on_grid].copy()))
-        ledger.total = float(cums[-1])
-        return ledger
 
     def trace_size(self) -> int:
         """How many points ``trace()`` holds, counted without building them."""

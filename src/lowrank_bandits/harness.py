@@ -47,7 +47,6 @@ error in file order is raised.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import multiprocessing as mp
@@ -608,74 +607,3 @@ def _json_text(doc) -> str:
     else:
         text = re.sub(r'"\\u0000(\d+)"', lambda m: lists[int(m[1])], text)
     return text + "\n"
-
-
-def read_curves_csv(path: str | Path) -> list[RunRecord]:
-    """Rebuild partial run records (config echo + trace) from a curves CSV.
-
-    A record's points must be the stride grid plus the final pull, as the
-    writers leave them; anything else raises ``ValueError``.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != CURVES_HEADER:
-            raise ValueError(f"unexpected curves header: {reader.fieldnames}")
-        rows: dict[tuple, list[tuple[int, float]]] = {}
-        meta: dict[tuple, dict] = {}
-        for row in reader:
-            key = (row["algo"], int(row["seed"]))
-            rows.setdefault(key, []).append((int(row["t"]), float(row["cum_regret"])))
-            meta[key] = row
-    records = []
-    for key, points in rows.items():
-        row = meta[key]
-        ts = np.array([p[0] for p in points], dtype=int)
-        cums = np.array([p[1] for p in points])
-        records.append(
-            RunRecord(
-                algorithm=row["algo"],
-                dim=int(row["d"]),
-                rep_dim=int(row["k"]),
-                num_tasks=int(row["M"]),
-                horizon=int(row["T"]),
-                noise_std=float(row["noise_std"]),
-                seed_index=int(row["seed"]),
-                final_regret=float(cums[-1]),
-                ledger=RegretLedger.from_trace(ts, cums, int(row["M"])),
-            )
-        )
-    records.sort(key=lambda r: (r.algorithm, r.seed_index))
-    return records
-
-
-def read_per_task_csv(path: str | Path) -> list[RunRecord]:
-    """Rebuild partial lifelong run records from a per-task CSV."""
-    per_seed: dict[int, list[dict]] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != PER_TASK_HEADER:
-            raise ValueError(f"unexpected per-task header: {reader.fieldnames}")
-        for row in reader:
-            per_seed.setdefault(int(row["seed"]), []).append(row)
-    records = []
-    for seed_index in sorted(per_seed):
-        group = sorted(per_seed[seed_index], key=lambda row: int(row["task"]))
-        first = group[0]
-        records.append(
-            RunRecord(
-                algorithm=first["algo"],
-                dim=int(first["d"]),
-                rep_dim=int(first["k"]),
-                num_tasks=int(first["M"]),
-                horizon=int(first["T"]),
-                noise_std=float("nan"),
-                seed_index=seed_index,
-                final_regret=float(sum(float(row["task_regret"]) for row in group)),
-                ledger=RegretLedger(int(first["M"])),  # no pulls: an empty trace
-                per_task_regret=np.array([float(row["task_regret"]) for row in group]),
-                entered_stage2=np.array([bool(int(row["entered_stage2"])) for row in group]),
-                width_after=np.array([int(row["tau_after"]) for row in group]),
-                samples_used=np.array([int(row["samples_used"]) for row in group]),
-            )
-        )
-    return records

@@ -339,20 +339,3 @@ def run_lll(
         state.per_task_regret[task] = ledger.total - regret_before
 
     return ledger, state
-
-
-def basis_growth_report(state: LllState, rep_dim: int, epsilon: float) -> dict:
-    """Diagnostic comparing the final basis width against its expected scale.
-
-    The reference scale is ``rep_dim * ceil(log(rep_dim / epsilon) + 1)``;
-    the check allows a slack factor of 4.  Informational, not an assertion:
-    unlucky noise can exceed it without invalidating a run.
-    """
-    reference = rep_dim * math.ceil(math.log(rep_dim / epsilon) + 1)
-    threshold = 4 * reference
-    return {
-        "width_final": state.width,
-        "reference": reference,
-        "threshold": threshold,
-        "within_bound": state.width <= threshold,
-    }

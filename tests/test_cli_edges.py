@@ -97,6 +97,12 @@ def test_largest_accepted_task_count_exits_2():
     assert_config_error(done, f"num_tasks: {MAX_COUNT} task weights do not fit in one array")
 
 
+def test_largest_accepted_dimension_exits_2():
+    # --d 2**63 - 1 passes validation; its (d, d) Gaussian draw fits in no array.
+    done = run_limited(["mtrl", "--d", str(MAX_COUNT), "--k", "1", "--M", "2", "--T", "300", "--seeds", "1"])
+    assert_config_error(done, f"dim: a {MAX_COUNT} x {MAX_COUNT} matrix does not fit in one array")
+
+
 def test_seed_count_no_list_holds_exits_2():
     # --seeds 2**62 passes validation; its replicates fit in no list.
     seeds = 2**62

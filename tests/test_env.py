@@ -297,10 +297,10 @@ class TestOracleBoundary:
 
 
 class TestRegretLedger:
-    def brute_force(self, events, num_tasks, stride):
+    def brute_force(self, events, stride):
         """Oracle: replay events pull by pull and thin the cumulative sums."""
         flat = []
-        for kind, _, payload in events:
+        for kind, payload in events:
             if kind == "block":
                 value, count = payload
                 flat.extend([value] * count)
@@ -321,13 +321,13 @@ class TestRegretLedger:
     def test_mixed_recording_matches_brute_force(self):
         rng = np.random.default_rng(40)
         events = [
-            ("block", 1, (0.5, 7)),
-            ("array", 0, list(rng.uniform(0, 2, size=13))),
-            ("interleaved", None, rng.uniform(0, 2, size=(3, 9))),
-            ("block", 2, (1.25, 4)),
+            ("block", (0.5, 7)),
+            ("array", list(rng.uniform(0, 2, size=13))),
+            ("interleaved", rng.uniform(0, 2, size=(3, 9))),
+            ("block", (1.25, 4)),
         ]
         ledger = RegretLedger(3, trace_stride=5)
-        for kind, _, payload in events:
+        for kind, payload in events:
             if kind == "block":
                 ledger.record_block(payload[0], payload[1])
             elif kind == "array":  # one task's per-step regrets
@@ -335,7 +335,7 @@ class TestRegretLedger:
                     ledger.record_block(value, 1)
             else:
                 ledger.record_interleaved(payload)
-        total, ts, cums = self.brute_force(events, 3, 5)
+        total, ts, cums = self.brute_force(events, 5)
         assert ledger.total == pytest.approx(total, abs=1e-12)
         got_t, got_c = ledger.trace()
         assert np.array_equal(got_t, ts)
@@ -387,7 +387,7 @@ class TestRegretLedger:
             ledger.record_block(value, count)
         assert ledger.num_pulls == 0 and ledger.total == 0.0 and not ledger._segments
 
-    def test_zero_count_block_checks_task_and_count(self):
+    def test_zero_count_block_checks_value_and_count(self):
         ledger = RegretLedger(2, trace_stride=1)
         with pytest.raises(ValueError):
             ledger.record_block(np.nan, 0)
@@ -498,25 +498,6 @@ class TestTraceSegments:
         assert np.array_equal(got_t, ts)
         assert np.array_equal(got_c, cums)
         assert np.array_equal(ledger.trace_grid(), ts) and ledger.trace_size() == ts.size
-        rebuilt_t, rebuilt_c = RegretLedger.from_trace(got_t, got_c).trace()
-        assert np.array_equal(rebuilt_t, ts) and rebuilt_c.tobytes() == got_c.tobytes()
-
-    @pytest.mark.parametrize(
-        "ts", [[3, 6, 9, 12, 15, 17], [3, 6, 9, 12, 15, 18], [1, 2, 3, 4, 5, 6]]
-    )
-    def test_from_trace_keeps_every_bit(self, ts):
-        cums = np.array([-0.0, 0.0, 1e-300, 0.1 + 0.2, np.nextafter(2.0, 3.0), -0.0])
-        ledger = RegretLedger.from_trace(ts, cums)
-        got_t, got_c = ledger.trace()
-        assert np.array_equal(got_t, ts) and got_c.tobytes() == cums.tobytes()
-        assert ledger.num_pulls == ts[-1] and ledger.total == cums[-1]
-
-    @pytest.mark.parametrize(
-        "ts", [[], [0], [[3, 6]], [3, 7], [3, 6, 10], [3, 6, 8, 9], [2, 3, 5], [5, 10**15]]
-    )
-    def test_from_trace_rejects_points_off_the_grid(self, ts):
-        with pytest.raises(ValueError, match="trace points"):
-            RegretLedger.from_trace(ts, np.ones(np.shape(ts)))
 
     def test_grid_placement(self):
         ledger = RegretLedger(1, trace_stride=10)
@@ -527,6 +508,37 @@ class TestTraceSegments:
         assert np.array_equal(ledger.trace()[0], [10, 20])  # on the grid: no extra point
         ledger.record_block(1.0, 1)
         assert np.array_equal(ledger.trace()[0], [10, 20, 21])
+
+    GRIDS = {
+        # stride, pulls recorded, the pull counts trace() holds
+        "off_the_grid": (3, 17, [3, 6, 9, 12, 15, 17]),
+        "on_the_grid": (3, 18, [3, 6, 9, 12, 15, 18]),
+        "every_pull": (1, 6, [1, 2, 3, 4, 5, 6]),
+        "before_the_first_point": (10, 7, [7]),
+        "on_the_first_point": (5, 5, [5]),
+        "nothing_recorded": (10, 0, []),
+        "trace_disabled": (0, 25, []),
+        "long_off_the_grid": (7, 100, [*range(7, 99, 7), 100]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_trace_grid_from_stride_and_pulls(self, name):
+        stride, pulls, expected = self.GRIDS[name]
+        ledger = RegretLedger(1, stride)
+        ledger.record_block(0.5, pulls)
+        grid = ledger.trace_grid()
+        assert grid.dtype == np.zeros(0, dtype=int).dtype
+        assert np.array_equal(grid, expected) and ledger.trace_size() == len(expected)
+        assert np.array_equal(ledger.trace()[0], expected)
+
+    @pytest.mark.parametrize(
+        "stride, pulls, size",
+        [(5, 10**15, 2 * 10**14), (3, 10**15, 333_333_333_333_334), (1, 2**62, 2**62)],
+    )
+    def test_trace_size_counts_without_building(self, stride, pulls, size):
+        ledger = RegretLedger(1, stride)
+        ledger.record_block(0.5, pulls)  # one segment: nothing trace-sized is built
+        assert ledger.trace_size() == size
 
     def test_block_record_is_constant_size(self):
         ledger = RegretLedger(1, trace_stride=1)

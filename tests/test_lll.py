@@ -5,7 +5,6 @@ from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance
 from lowrank_bandits.errors import ConfigError, HorizonTooShortError
 from lowrank_bandits.linalg import empty_basis, is_orthonormal
 from lowrank_bandits.lll import (
-    basis_growth_report,
     extend_basis,
     log_factor,
     needs_reestimation,
@@ -285,16 +284,14 @@ class TestRunLll:
         assert a[0].total == b[0].total
 
 
-class TestBasisGrowthReport:
-    def test_threshold_arithmetic(self):
+class TestBasisGrowth:
+    def test_noiseless_width_at_most_32(self):
         inst = make_instance(noise_std=0.0, seed=101)
         _, state = run_lll(
             inst, np.random.default_rng(901), mode="pure_exploration", epsilon=0.1
         )
-        report = basis_growth_report(state, 2, 0.1)
-        # 4 * 2 * ceil(log(20) + 1) = 8 * 4
-        assert report["threshold"] == 32
-        assert report["within_bound"]
+        # 4 * k * ceil(log(k / epsilon) + 1) = 4 * 2 * ceil(log(20) + 1) = 32
+        assert state.width <= 32
 
     def test_width_never_exceeds_dim(self):
         inst = make_instance(seed=19, num_tasks=40)
