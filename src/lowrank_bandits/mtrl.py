@@ -6,13 +6,15 @@ takes its top-``rep_dim`` left singular vectors as the shared subspace.  One
 helper, ``_stage1_theta_hat``, fills that matrix column by column while
 ``collect_stage1_samples`` streams each task's batch, so memory holds the
 ``(num_tasks, t1)`` regrets plus one batch; the independent baseline calls
-it too.  Stage 2 plays each estimated basis column for a fixed block per
-task and solves a least-squares problem for the low-dimensional weights.
-Stage 3 commits to the greedy unit-ball action for the rest of the horizon.
+it too, and e2tc streams the same batches into its squared-covariance sum.
+Stage 2 plays each estimated basis column for a fixed block per task and
+solves a least-squares problem for the low-dimensional weights.  Stage 3
+commits to the greedy unit-ball action for the rest of the horizon.
 
-The three-stage skeleton is shared with the squared-covariance variant in
-:mod:`lowrank_bandits.baselines`; only the Stage-1 subspace estimator
-differs, so paired runs with a common seed isolate the estimator's effect.
+The three-stage skeleton, ``_run_three_stage``, is shared with the
+squared-covariance variant in :mod:`lowrank_bandits.baselines`; only the
+Stage-1 subspace estimator differs, so paired runs with a common seed
+isolate the estimator's effect.
 """
 
 from __future__ import annotations
@@ -221,37 +223,23 @@ def _run_three_stage(
     instance: BanditInstance,
     rng: np.random.Generator | None,
     trace_stride: int,
-    noiseless_oracle: bool = False,
-    pooled_estimator: Callable[..., np.ndarray] | None = None,
+    stage1: Callable[..., tuple[np.ndarray | None, np.ndarray]],
 ) -> tuple[RegretLedger, MtrlDiagnostics]:
     """Shared skeleton of mtrl and e2tc: Stage 1, then Stages 2 and 3.
 
-    Stage 1 takes the top left singular vectors of ``_stage1_theta_hat``, or
-    keeps every batch for ``pooled_estimator(actions, rewards, dim, rep_dim)``:
-    e2tc's einsum sums over (task, step) in one chain, and per-task partial
-    sums would change its bits.
+    ``stage1(t1, rng, ledger, collect)`` streams each task's batch
+    through ``collect`` (this module's ``collect_stage1_samples``, whose
+    binding the benchmark tracer wraps) and returns ``(theta_hat,
+    basis_hat)``.  Only the reduction of each batch and the final subspace
+    step differ between the two runners; e2tc keeps no per-task estimates
+    and returns ``None`` for ``theta_hat``.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     t1, t2, block = resolve_budgets(
         instance.dim, instance.rep_dim, instance.num_tasks, instance.horizon
     )
     ledger = RegretLedger(instance.num_tasks, trace_stride)
-
-    if pooled_estimator is None:
-        theta_hat = _stage1_theta_hat(
-            instance, t1, rng, ledger, noiseless_oracle, collect_stage1_samples,
-            lambda acts, rewards: moment_theta_matrix(acts[None], rewards[None])[:, 0],
-        )
-        basis_hat = top_k_left_singular_vectors(theta_hat, instance.rep_dim)
-    else:
-        actions = np.empty((instance.num_tasks, t1, instance.dim))
-        rewards = np.empty((instance.num_tasks, t1))
-
-        def keep(task, acts, task_rewards):
-            actions[task], rewards[task] = acts, task_rewards
-
-        collect_stage1_samples(instance, t1, rng, ledger, keep)
-        theta_hat, basis_hat = None, pooled_estimator(actions, rewards, instance.dim, instance.rep_dim)
+    theta_hat, basis_hat = stage1(t1, rng, ledger, collect_stage1_samples)
     stage1_regret = ledger.total
 
     weights_hat = stage2_per_task(instance, basis_hat, block, rng, ledger)
@@ -289,4 +277,12 @@ def run_mtrl(
     deterministic exact-recovery regression path; the default path always
     uses the moment estimator.
     """
-    return _run_three_stage(instance, rng, trace_stride, noiseless_oracle)
+
+    def stage1(t1, rng, ledger, collect):
+        theta_hat = _stage1_theta_hat(
+            instance, t1, rng, ledger, noiseless_oracle, collect,
+            lambda acts, rewards: moment_theta_matrix(acts[None], rewards[None])[:, 0],
+        )
+        return theta_hat, top_k_left_singular_vectors(theta_hat, instance.rep_dim)
+
+    return _run_three_stage(instance, rng, trace_stride, stage1)

@@ -5,6 +5,8 @@ import pytest
 
 from lowrank_bandits import baselines, mtrl
 from lowrank_bandits.baselines import (
+    CHUNK_ENTRIES,
+    SquaredCovarianceSum,
     e2tc_squared_estimator,
     independent_exploration_budget,
     run_e2tc,
@@ -89,6 +91,72 @@ class TestSquaredEstimator:
                 errors.append(subspace_distance(basis, inst.basis))
             medians[t1] = float(np.median(errors))
         assert 1.4 <= medians[2000] / medians[8000] <= 2.8
+
+
+def pooled_einsum_basis(actions, rewards, rep_dim):
+    """``e2tc_squared_estimator`` as it was when it kept the pooled tensor."""
+    weighted = np.einsum("mtd,mte,mt->de", actions, actions, rewards**2)
+    weighted /= actions.shape[0] * actions.shape[1]
+    weighted = (weighted + weighted.T) / 2
+    _, vecs = np.linalg.eigh(weighted)
+    return np.ascontiguousarray(vecs[:, ::-1][:, :rep_dim])
+
+
+def sphere_batches(num_tasks, n, dim, seed):
+    """Unit actions, and rewards with zeros, negatives and a -0.0."""
+    rng = np.random.default_rng(seed)
+    actions = rng.standard_normal((num_tasks, n, dim))
+    actions /= np.linalg.norm(actions, axis=2, keepdims=True)
+    rewards = rng.standard_normal((num_tasks, n))
+    rewards[:, ::5] = 0.0
+    rewards[0, -1] = -0.0
+    return actions, rewards
+
+
+class TestSquaredCovarianceSum:
+    """The streamed sum's lower triangle is the pooled einsum's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "num_tasks,n,dim,rep_dim",
+        [
+            (3, 7, 4, 2),
+            (6, 1, 5, 2),  # one-step tasks
+            (4, 2000, 1, 1),  # d = 1: 8,000 terms, within one einsum buffer
+            (2, 300, 17, 3),  # two tiles, of 16 columns and of one entry
+            # d = 50: tiles of 16, 16, 16 and 2 columns, whose chunks hold 163,
+            # 240, 455 and 32,768 rows, so 700 rows end in a partial chunk of each
+            (3, 700, 50, 5),
+            (20, 448, 10, 2),  # a single 10-column tile; 448 rows in one chunk
+            (2, 2 * (CHUNK_ENTRIES // 100) + 3, 10, 2),  # two full chunks and 3 rows
+        ],
+    )
+    def test_equals_the_pooled_einsum(self, num_tasks, n, dim, rep_dim):
+        actions, rewards = sphere_batches(num_tasks, n, dim, seed=dim)
+        total = SquaredCovarianceSum(dim)
+        for task_actions, task_rewards in zip(actions, rewards):
+            total.add(task_actions, task_rewards)
+        pooled = np.einsum("mtd,mte,mt->de", actions, actions, rewards**2)
+        assert np.array_equal(pooled, pooled.T)
+        assert np.array_equal(np.tril(total.lower), np.tril(pooled))
+        assert total.count == num_tasks * n
+        basis = e2tc_squared_estimator(actions, rewards, dim, rep_dim)
+        assert np.array_equal(basis, pooled_einsum_basis(actions, rewards, rep_dim))
+        assert basis.flags.c_contiguous
+
+    def test_one_dimension_is_one_chain_past_the_einsum_buffer(self):
+        # At d = 1 the einsum adds its terms in blocks of numpy's buffer size
+        # (8,192), so past one block its total differs in the last bits.  The
+        # stream stays one chain over (task, step), and the 1 x 1 basis is 1.
+        actions, rewards = sphere_batches(3, 5000, 1, seed=2)
+        total = SquaredCovarianceSum(1)
+        for task_actions, task_rewards in zip(actions, rewards):
+            total.add(task_actions, task_rewards)
+        chain = 0.0
+        for term in ((actions[..., 0] * actions[..., 0]) * rewards**2).ravel():
+            chain += term
+        assert total.lower[0, 0] == chain
+        basis = e2tc_squared_estimator(actions, rewards, 1, 1)
+        assert np.array_equal(basis, pooled_einsum_basis(actions, rewards, 1))
 
 
 class TestRunE2tc:

@@ -4,6 +4,7 @@ The cases are generated from ``cli._OPTIONS``: each option of each command,
 at the edge values of its type, on a tiny shape with one seed and one worker.
 """
 
+import csv
 import json
 import os
 import resource
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from lowrank_bandits import cli
+from lowrank_bandits.baselines import independent_exploration_budget
 from lowrank_bandits.harness import MAX_COUNT, WORKERS_ENV_VAR
+from lowrank_bandits.mtrl import resolve_budgets
 
 # Each command's options besides SHAPE; "lll" runs in both modes.
 COMMANDS = {
@@ -116,3 +119,52 @@ def test_deeply_nested_config_exits_2(tmp_path):
     config.write_text("[" * 100_000 + "]" * 100_000)
     done = run_limited(["mtrl", "--config", str(config), "--seeds", "1"])
     assert_config_error(done, f"config: {config} is nested too deeply to parse")
+
+
+def command_args(name: str, shape: dict) -> list[str]:
+    command, options = COMMANDS[name]
+    return [command, *(part for item in {**shape, **options}.items() for part in item)]
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if name != "compare"])
+def test_largest_accepted_horizon(name):
+    # --T 2**63 - 1 passes validation.  The explore-then-commit runners' Stage-1
+    # (M, t1) regrets fit in no array; lll draws task by task and runs.
+    shape = {"--d": "3", "--k": "1", "--M": "2", "--seeds": "1", "--T": str(MAX_COUNT)}
+    done = run_limited(command_args(name, shape))
+    if name.startswith("lll"):
+        assert (done.returncode, done.stderr) == (0, "")
+        return
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "MemoryError"
+    t1 = (independent_exploration_budget(3, MAX_COUNT) if name == "independent"
+          else resolve_budgets(3, 1, 2, MAX_COUNT)[0])
+    assert f"with shape (2, {t1}) and" in error["message"]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_largest_accepted_trace_stride_keeps_each_final_point(tmp_path, name):
+    # --trace-stride 2**63 - 1 passes validation.  No pull count is a multiple
+    # of it, so each replicate's one curves row is its final pull count.
+    done = run_limited(command_args(name, {**SHAPE, "--seeds": "2", "--out-dir": str(tmp_path),
+                                           "--trace-stride": str(MAX_COUNT)}))
+    assert (done.returncode, done.stderr) == (0, "")
+    final = {"0": 2 * 300, "1": 2 * 300}  # M·T
+    if name == "lll-pure":  # the samples its pure exploration drew
+        final = {"0": 0, "1": 0}
+        for task in csv_rows(tmp_path / "per_task.csv"):
+            final[task["seed"]] += int(task["samples_used"])
+    curves = sorted(tmp_path.glob("curves*.csv"))
+    assert len(curves) == (3 if name == "compare" else 1)
+    for path in curves:
+        rows = csv_rows(path)
+        assert len(rows) == 2
+        assert {row["seed"]: int(row["t"]) for row in rows} == final
+
+
+def csv_rows(path: Path) -> list[dict]:
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
