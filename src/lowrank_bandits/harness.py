@@ -43,6 +43,11 @@ worker count and sized by the larger of the two phases; ``compare``'s
 ``run_experiment`` calls share its pool.  When one file cannot be written,
 or its text does not fit in memory, the others still are, and the first
 error in file order is raised.
+
+A file's text is built as one string and then written.  A JSON builder
+holds its number lists' texts and the joined text, at most about twice the
+file; a write adds one slice of ``WRITE_SLICE`` (2**20) characters and its
+encoding, not an encoded copy of the file.
 """
 
 from __future__ import annotations
@@ -155,6 +160,8 @@ class ExperimentConfig:
             )
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir: must be a string, got {self.out_dir!r}")
+        if self.out_dir == "":  # Path("") is the current directory
+            raise ConfigError("out_dir: must be a non-empty path, got ''")
         if self.num_seeds < 1:
             raise ConfigError(f"num_seeds: must be >= 1, got {self.num_seeds}")
         if self.master_seed < 0:
@@ -465,18 +472,25 @@ def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
 # serialization
 
 
+# The characters ``_atomic_write`` hands to the file at a time.
+WRITE_SLICE = 2**20
+
+
 def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to a new temp file beside ``path``, then rename it over ``path``.
 
-    The temp file is created with mode 0o666, so the process umask sets the
-    final permissions, as it does for ``open``.
+    The text goes out in slices of ``WRITE_SLICE`` characters, so a write
+    holds one slice and its encoding on top of ``text``, never an encoded
+    copy of the whole file.  The temp file is created with mode 0o666, so
+    the process umask sets the final permissions, as it does for ``open``.
     """
     path = Path(path)
     tmp_path = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            for start in range(0, len(text), WRITE_SLICE):
+                handle.write(text[start : start + WRITE_SLICE])
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -586,6 +600,10 @@ def _json_text(doc) -> str:
     lays it out; ``json.dumps`` lays out the rest around a placeholder string
     for each such list.  A document whose text holds ``\\u0000`` other than
     in the placeholders is encoded by ``json.dumps`` alone.
+
+    The result is one join of the text split at the placeholders, the list
+    texts and the newline, so the builder holds the list texts and the
+    result at once, at most about twice the file, and no third copy.
     """
     lists: list[str] = []
 
@@ -603,7 +621,9 @@ def _json_text(doc) -> str:
 
     text = json.dumps(swap(doc, 0), indent=2, sort_keys=True)
     if text.count("\\u0000") != len(lists):
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        text = re.sub(r'"\\u0000(\d+)"', lambda m: lists[int(m[1])], text)
-    return text + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # [skeleton, index, skeleton, ..., skeleton]: each index becomes its list's text
+    pieces = re.split(r'"\\u0000(\d+)"', text)
+    pieces[1::2] = [lists[int(index)] for index in pieces[1::2]]
+    pieces.append("\n")
+    return "".join(pieces)

@@ -2,6 +2,9 @@
 
 The cases are generated from ``cli._OPTIONS``: each option of each command,
 at the edge values of its type, on a tiny shape with one seed and one worker.
+The config-file cases are generated from ``cli._KEY_FIELDS`` the same way,
+with each key at a value of each JSON type.  A run that exits 0 writes
+nothing into the current directory itself, only under its ``out_dir``.
 """
 
 import csv
@@ -32,8 +35,10 @@ SHAPE = {"--d": "3", "--k": "1", "--M": "2", "--T": "300", "--seeds": "1", "--ou
 EDGES = {
     int: ["0", "1", "-1", str(2**63)],
     float: ["0", "-1", "0.5", "1e-308", "1e308", "nan", "inf", "-inf"],
-    str: [],
+    str: [""],
 }
+# A value of each JSON type, and the largest finite float.
+CONFIG_VALUES = ["true", "1.5", '"x"', '""', "[]", "{}", "null", "1e308"]
 
 
 def edge_arguments(flag: str, keywords: dict) -> list[list[str]]:
@@ -57,18 +62,72 @@ def cases():
                 yield pytest.param(argv, id=f"{name} {' '.join(edge)}")
 
 
+def config_cases():
+    for name in ("mtrl", "lll-pure", "compare"):
+        command, options = COMMANDS[name]
+        keys = [*cli._KEY_FIELDS, *(["algorithms"] if command == "compare" else [])]
+        for key in keys:
+            base = {**SHAPE, **options}
+            base.pop("--" + key.replace("_", "-"), None)  # a flag would override the key
+            for value in CONFIG_VALUES:
+                argv = [command, *(part for item in base.items() for part in item)]
+                yield pytest.param(argv, f'{{"{key}": {value}}}', id=f"{name} {key}={value}")
+
+
+def assert_exit_contract(code: int, err: str, cwd: Path, *inputs: Path) -> None:
+    """Exit 0 with nothing on stderr and no file in ``cwd`` but ``inputs``, or
+    exit 2 with one JSON line on stderr."""
+    lines = err.splitlines()
+    if code == 0:
+        assert lines == []
+        assert {path for path in cwd.iterdir() if path.is_file()} == set(inputs)
+    else:
+        assert code == 2
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 @pytest.mark.parametrize("argv", cases())
 def test_option_edge_exits_0_or_2_with_one_json_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # --out-dir values are relative paths
     monkeypatch.setenv(WORKERS_ENV_VAR, "1")
     code = cli.main(argv)
-    lines = capsys.readouterr().err.splitlines()
-    if code == 0:
-        assert lines == []
+    assert_exit_contract(code, capsys.readouterr().err, tmp_path)
+
+
+@pytest.mark.parametrize("argv,text", config_cases())
+def test_config_value_exits_0_or_2_with_one_json_line(tmp_path, monkeypatch, capsys, argv, text):
+    monkeypatch.chdir(tmp_path)  # out_dir values are relative paths
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code = cli.main([*argv, "--config", config.name])
+    assert_exit_contract(code, capsys.readouterr().err, tmp_path, config)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name", ["mtrl", "compare"])
+def test_empty_out_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, name, source):
+    # Path("") is the current directory, so an empty out_dir would write there.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    shape = {flag: value for flag, value in SHAPE.items() if flag != "--out-dir"}
+    if source == "flag":
+        argv = command_args(name, {**shape, "--out-dir": ""})
     else:
-        assert code == 2
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "message"}
+        Path("config.json").write_text('{"out_dir": ""}')
+        argv = command_args(name, {**shape, "--config": "config.json"})
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError", "message": "out_dir: must be a non-empty path, got ''",
+    }
+    assert sorted(path.name for path in tmp_path.iterdir()) == (
+        ["config.json"] if source == "config" else []
+    )
 
 
 def run_limited(args: list[str]) -> subprocess.CompletedProcess:

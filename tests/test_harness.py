@@ -8,6 +8,7 @@ import resource
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -468,6 +469,47 @@ class TestRoundTrip:
         doc = summarize(records)
         assert isinstance(doc["lll"]["mean_per_task_curve"][0], float)
         assert harness._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @staticmethod
+    def traced_peak(call) -> tuple[object, int]:
+        """``call()``'s result and the bytes tracemalloc saw allocated above
+        the start at its peak."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def curves_doc() -> dict:
+        """A comparison-shaped document: three 50,000-point mean curves (~7 MB of JSON)."""
+        t = np.arange(10, 500_001, 10)
+        regret = np.cumsum(np.random.default_rng(0).random(t.size))
+        return {
+            "summaries": [
+                {"algorithm": name, "mean_curve": {"t": t.tolist(), "regret": (regret * i).tolist()}}
+                for i, name in enumerate(["mtrl", "e2tc", "independent"], 1)
+            ],
+            "pairs": [],
+        }
+
+    def test_json_text_holds_at_most_twice_its_text(self):
+        # The number lists' texts and the joined result; no third copy of the file.
+        doc = self.curves_doc()
+        text, peak = self.traced_peak(lambda: harness._json_text(doc))
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert peak < 2.2 * len(text)
+
+    def test_atomic_write_does_not_encode_the_whole_text(self, tmp_path):
+        # One slice and its encoding on top of the text, whatever the file's size.
+        text = harness._json_text(self.curves_doc())
+        assert len(text) >= 7_000_000
+        path = tmp_path / "comparison.json"
+        _, peak = self.traced_peak(lambda: harness._atomic_write(path, text))
+        assert peak < 3 * 2**20
+        assert path.read_text() == text
 
 
 class TestSummarize:
