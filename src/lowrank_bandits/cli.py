@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         options = _resolve_options(args)
         if args.command == "compare":
-            algos = options.pop("algorithms", None) or _COMPARE_DEFAULT
+            algos = options.pop("algorithms", _COMPARE_DEFAULT)
             if not isinstance(algos, str):
                 raise ConfigError(f"algorithms: must be a string, got {algos!r}")
             algos = [a.strip() for a in algos.split(",") if a.strip()]

@@ -7,7 +7,8 @@ a pull of action ``a`` on task ``m`` pays ``<a, theta_m> + noise``.
 
 Regret is accounted as EXPECTED instantaneous regret ``1 - <a, theta_m>``
 (the optimum over the unit ball is ``||theta_m|| = 1``), so regret curves
-carry no reward-noise variance.
+carry no reward-noise variance.  ``RegretLedger`` alone decides a regret
+curve's points: each multiple of its stride below its pull count, then that count.
 
 Inputs are validated once, where they enter: ``InstanceSpec.validate`` checks
 an instance's parameters, ``_mean_rewards`` checks every oracle call's task
@@ -247,8 +248,10 @@ class RegretLedger:
     """Per-pull expected-regret accounting for one simulation run.
 
     Tracks the cumulative sum, the pull counter and a thinned trace of
-    ``(pull_index, cumulative_regret)`` pairs every ``trace_stride`` pulls,
-    plus the final pull; ``trace_stride=0`` disables the trace, not the total.
+    ``(pull_index, cumulative_regret)`` pairs: one at every multiple of
+    ``trace_stride`` below ``num_pulls``, then one at ``num_pulls``.  So
+    ``trace_stride=0`` keeps the final point alone, and a ledger with no
+    pulls has an empty trace.
 
     The trace is kept as one segment per record, ``(num_pulls, count,
     total, value)`` as they stood when the record began: a block's
@@ -346,23 +349,20 @@ class RegretLedger:
     def trace_size(self) -> int:
         """How many points ``trace()`` holds, counted without building them."""
         if self.trace_stride == 0:
-            return 0
-        return -(-self.num_pulls // self.trace_stride)  # the grid, plus num_pulls when off it
+            return min(self.num_pulls, 1)
+        return -(-self.num_pulls // self.trace_stride)  # ceil(num_pulls / stride)
 
     def trace_grid(self) -> np.ndarray:
         """The pull counts of ``trace()``'s points, from ``trace_stride`` and
-        ``num_pulls`` alone: the stride's multiples up to ``num_pulls``, plus
-        ``num_pulls`` when it is off the grid; empty when the trace is disabled."""
-        stride, size = self.trace_stride, self.trace_size()
-        if size == 0:
-            return np.zeros(0, dtype=int)
-        ts = np.arange(stride, size * stride + 1, stride, dtype=int)
-        ts[-1] = self.num_pulls
+        ``num_pulls`` alone: each multiple of the stride is built from its
+        index, so no value passes ``num_pulls``."""
+        ts = np.arange(1, self.trace_size() + 1, dtype=int)
+        ts[:-1] *= self.trace_stride
+        ts[-1:] = self.num_pulls
         return ts
 
     def trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thinned cumulative-regret trace on ``trace_grid()``; empty when the
-        trace is disabled.
+        """Thinned cumulative-regret trace on ``trace_grid()``.
 
         The last point is ``(num_pulls, total)``.  On the stride grid, its
         segment would give the same bits: ``total + count * value``, or
@@ -370,15 +370,13 @@ class RegretLedger:
         """
         stride, ts = self.trace_stride, self.trace_grid()
         cums = np.empty(ts.size)
-        if ts.size == 0:
-            return ts, cums
-        for pulls, count, total, value in self._segments:
+        for pulls, count, total, value in self._segments:  # none at stride 0
             a, b = pulls // stride, (pulls + count) // stride
             if isinstance(value, np.ndarray):
                 np.add(total, value, out=cums[a:b])
             else:
                 np.add(total, (ts[a:b] - pulls) * value, out=cums[a:b])
-        cums[-1] = self.total
+        cums[-1:] = self.total
         return ts, cums
 
 

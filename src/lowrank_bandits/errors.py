@@ -3,6 +3,9 @@
 import math
 import numbers
 
+# The largest count numpy holds in int64: pulls, tasks, the horizon, strides.
+MAX_COUNT = 2**63 - 1
+
 
 class ConfigError(ValueError):
     """An instance spec or experiment config violates its invariants."""

@@ -12,13 +12,14 @@ their algorithms on identical instances replicate by replicate.
 Records
 -------
 ``run_experiment`` returns one ``RunRecord`` per replicate, built by the
-worker that ran it.  A record keeps its trace as its replicate's
-``RegretLedger``: one segment per ledger record, however many pulls the
-record covers.  ``trace_t`` and ``trace_regret`` expand it on every read,
-and only the code that reads points reads them: the curves writers, inside
-their write jobs, and ``summarize``'s mean curve.  So a record stays small
-in memory and across the process pool, and a run without ``out_dir``
-builds no trace point.
+worker that ran it.  A record points at its config and its replicate's
+``RegretLedger``, and copies neither: the ledger holds the final regret and
+decides the trace points, kept as one segment per ledger record however
+many pulls the record covers.  ``trace_t`` and ``trace_regret`` expand it
+on every read, and only the code that reads points reads them: the curves
+writers, inside their write jobs, and ``summarize``'s mean curve.  So a
+record stays small in memory and across the process pool, and a run
+without ``out_dir`` builds no trace point.
 
 Output files (schemas fixed):
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from .baselines import run_e2tc, run_independent_etc
 from .env import InstanceSpec, RegretLedger, generate_instance
-from .errors import ConfigError, require_finite, require_int
+from .errors import MAX_COUNT, ConfigError, require_finite, require_int
 from .lll import check_options, run_lll
 from .mtrl import run_mtrl
 
@@ -82,7 +83,6 @@ ALGORITHMS = {
     "lll": ("run_lll", ("mode", "epsilon", "delta")),
 }
 WORKERS_ENV_VAR = "LOWRANK_BANDITS_WORKERS"
-MAX_COUNT = 2**63 - 1
 
 CURVES_HEADER = ["algo", "d", "k", "M", "T", "noise_std", "seed", "t", "cum_regret"]
 PER_TASK_HEADER = [
@@ -146,11 +146,15 @@ class ExperimentConfig:
         self.instance_spec().validate()
         for name in ("num_seeds", "master_seed", "trace_stride"):
             require_int(name, getattr(self, name))
-        # numpy holds these counts in int64 (rep_dim <= dim); master_seed only
-        # seeds SeedSequence, which takes any non-negative int
-        for name in ("dim", "num_tasks", "horizon", "num_seeds", "trace_stride"):
-            if getattr(self, name) > MAX_COUNT:
-                raise ConfigError(f"{name}: must be <= 2**63 - 1, got {getattr(self, name)}")
+        # numpy holds these counts in int64 (rep_dim <= dim), and M * T, a regret
+        # run's pull count and last trace point; master_seed only seeds
+        # SeedSequence, which takes any non-negative int
+        names = ("dim", "num_tasks", "horizon", "num_seeds", "trace_stride")
+        counts = {name: getattr(self, name) for name in names}
+        counts["num_tasks * horizon"] = self.num_tasks * self.horizon
+        for name, count in counts.items():
+            if count > MAX_COUNT:
+                raise ConfigError(f"{name}: must be <= 2**63 - 1, got {count}")
         require_finite("delta", self.delta)
         if self.epsilon is not None:
             require_finite("epsilon", self.epsilon)
@@ -193,21 +197,15 @@ def replicate_seed_sequences(
 
 @dataclass(eq=False)
 class RunRecord:
-    """Everything one replicate produced; its trace is ``ledger`` (module docstring: Records).
+    """One replicate's ``config``, ``ledger`` and per-task columns (module docstring: Records).
 
     ``wall_seconds`` is the time the replicate's algorithm ran, in its
     worker.  It is kept in memory only; it never enters output files (they
     must be byte-identical across reruns of the same config).
     """
 
-    algorithm: str
-    dim: int
-    rep_dim: int
-    num_tasks: int
-    horizon: int
-    noise_std: float
+    config: ExperimentConfig
     seed_index: int
-    final_regret: float
     ledger: RegretLedger
     # PER_TASK_COLUMNS, taken from a lifelong runner's details; None otherwise.
     per_task_regret: np.ndarray | None = None
@@ -217,6 +215,10 @@ class RunRecord:
     wall_seconds: float = 0.0
 
     @property
+    def final_regret(self) -> float:
+        return self.ledger.total
+
+    @property
     def width_final(self) -> int | None:  # the basis width after the last task
         return None if self.width_after is None else int(self.width_after[-1])
 
@@ -224,25 +226,13 @@ class RunRecord:
     def sample_total(self) -> int | None:  # the exploration pulls of all tasks
         return None if self.samples_used is None else int(self.samples_used.sum())
 
-    # A disabled trace (stride 0) keeps its final point, so curves are never empty.
     @property
-    def trace_t(self) -> np.ndarray:
-        """The pull counts of the trace points, from the ledger's stride and pulls alone."""
-        if self.ledger.trace_stride == 0:
-            return np.array([self.ledger.num_pulls])
+    def trace_t(self) -> np.ndarray:  # the pull counts of the trace points
         return self.ledger.trace_grid()
 
     @property
-    def trace_regret(self) -> np.ndarray:
-        """The cumulative regret at each of ``trace_t``'s pull counts."""
-        if self.ledger.trace_stride == 0:
-            return np.array([self.ledger.total])
+    def trace_regret(self) -> np.ndarray:  # the cumulative regret at each of them
         return self.ledger.trace()[1]
-
-    @property
-    def trace_size(self) -> int:
-        """``trace_t.size``, counted without building the grid."""
-        return 1 if self.ledger.trace_stride == 0 else self.ledger.trace_size()
 
 
 def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
@@ -258,14 +248,8 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
         instance, rng, config.trace_stride, **{name: getattr(config, name) for name in options}
     )
     return RunRecord(
-        algorithm=config.algorithm,
-        dim=config.dim,
-        rep_dim=config.rep_dim,
-        num_tasks=config.num_tasks,
-        horizon=config.horizon,
-        noise_std=config.noise_std,
+        config=config,
         seed_index=index,
-        final_regret=float(ledger.total),
         ledger=ledger,
         wall_seconds=time.perf_counter() - started,
         **{name: getattr(details, name, None) for name in PER_TASK_COLUMNS},
@@ -360,15 +344,14 @@ def summarize(records: list[RunRecord]) -> dict:
     """
     if not records:
         raise ValueError("summarize needs at least one record")
-    key = lambda r: (r.algorithm, r.dim, r.rep_dim, r.num_tasks, r.horizon, r.noise_std)
-    if len({key(r) for r in records}) != 1:
+    if len({(r.config.algorithm, r.config.instance_spec()) for r in records}) != 1:
         raise ValueError("records mix heterogeneous configs")
 
     finals = np.array([r.final_regret for r in records])
     n = len(finals)
     sd = float(finals.std(ddof=1)) if n > 1 else 0.0
     out: dict = {
-        "algorithm": records[0].algorithm,
+        "algorithm": records[0].config.algorithm,
         "n_runs": n,
         "final_regret": {
             "mean": float(finals.mean()),
@@ -390,7 +373,7 @@ def summarize(records: list[RunRecord]) -> dict:
         per_task = np.vstack([r.per_task_regret for r in records])
         out["lll"] = {
             "mean_per_task_curve": per_task.mean(axis=0).tolist(),
-            "mean_per_task_regret": float(finals.mean()) / records[0].num_tasks,
+            "mean_per_task_regret": float(finals.mean()) / records[0].config.num_tasks,
             "mean_sample_total": float(np.mean([r.sample_total for r in records])),
             "width_final_max": int(max(r.width_final for r in records)),
         }
@@ -503,10 +486,10 @@ WriteJob = tuple[Path, Callable[..., str], tuple]
 
 
 def _record_jobs(out_dir: Path, suffix: str, records: list[RunRecord]) -> list[WriteJob]:
-    """Write jobs for the curves CSV and, for records with per-task columns,
-    the per-task CSV."""
+    """Write jobs for the curves CSV and, for records whose config's
+    ``_record_file_count`` counts it, the per-task CSV."""
     jobs = [(out_dir / f"curves{suffix}.csv", _curves_csv_text, (records,))]
-    if records[0].per_task_regret is not None:
+    if _record_file_count(records[0].config) > 1:
         jobs.append((out_dir / f"per_task{suffix}.csv", _per_task_csv_text, (records,)))
     return jobs
 
@@ -545,9 +528,10 @@ def _write_files(jobs: list[WriteJob]) -> list[Path]:
 def _curves_csv_text(records: list[RunRecord]) -> str:
     chunks = [",".join(CURVES_HEADER) + "\n"]
     for r in records:
+        c = r.config
         prefix = (
-            f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
-            f"{fmt(r.noise_std)},{r.seed_index},"
+            f"{c.algorithm},{c.dim},{c.rep_dim},{c.num_tasks},{c.horizon},"
+            f"{fmt(c.noise_std)},{r.seed_index},"
         )
         # One string per record, made by one ``%`` call: the row template
         # repeated once per point, filled with the points' (t, regret) pairs.
@@ -560,7 +544,8 @@ def _curves_csv_text(records: list[RunRecord]) -> str:
 def _per_task_csv_text(records: list[RunRecord]) -> str:
     lines = [",".join(PER_TASK_HEADER) + "\n"]
     for r in records:
-        prefix = f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},{r.seed_index},"
+        c = r.config
+        prefix = f"{c.algorithm},{c.dim},{c.rep_dim},{c.num_tasks},{c.horizon},{r.seed_index},"
         columns = zip(*(getattr(r, name).tolist() for name in PER_TASK_COLUMNS))
         lines += [  # ":d" writes the bool column as 0/1
             f"{prefix}{task},{regret:.17g},{entered:d},{width:d},{samples:d}\n"

@@ -41,7 +41,7 @@ from .env import (
     instant_regret,
     pull_block_mean,
 )
-from .errors import ConfigError, HorizonTooShortError
+from .errors import MAX_COUNT, ConfigError, HorizonTooShortError
 from .linalg import (
     argmax_unit_ball,
     empty_basis,
@@ -53,8 +53,6 @@ MODES = ("pure_exploration", "regret")
 
 EXTENSION_FLOOR_FRACTION = 0.25  # extend only when ||residual|| >= epsilon / 4
 FULL_BASIS_RESIDUAL_ATOL = 1e-6
-# Pull counts are int64 in numpy: the oracle's sqrt(count), samples_used.
-MAX_PULLS = np.iinfo(np.int64).max
 
 
 def check_options(
@@ -86,7 +84,7 @@ def check_options(
             )
         except (ZeroDivisionError, OverflowError):  # epsilon**2 is 0, or a budget is inf
             worst = math.inf
-        if worst > MAX_PULLS:
+        if worst > MAX_COUNT:  # pull counts are int64 in numpy: sqrt(count), samples_used
             raise ConfigError(
                 f"epsilon: {epsilon} allows up to {worst:.3g} pulls, more than int64 holds"
             )

@@ -154,8 +154,8 @@ def assert_config_error(done: subprocess.CompletedProcess, message: str) -> None
 
 
 def test_largest_accepted_task_count_exits_2():
-    # --M 2**63 - 1 passes validation; its task weights fit in no array.
-    done = run_limited(["mtrl", "--M", str(MAX_COUNT), "--seeds", "1"])
+    # --M 2**63 - 1 passes validation at --T 1; its task weights fit in no array.
+    done = run_limited(["mtrl", "--M", str(MAX_COUNT), "--T", "1", "--seeds", "1"])
     assert_config_error(done, f"num_tasks: {MAX_COUNT} task weights do not fit in one array")
 
 
@@ -187,9 +187,10 @@ def command_args(name: str, shape: dict) -> list[str]:
 
 @pytest.mark.parametrize("name", [name for name in COMMANDS if name != "compare"])
 def test_largest_accepted_horizon(name):
-    # --T 2**63 - 1 passes validation.  The explore-then-commit runners' Stage-1
-    # (M, t1) regrets fit in no array; lll draws task by task and runs.
-    shape = {"--d": "3", "--k": "1", "--M": "2", "--seeds": "1", "--T": str(MAX_COUNT)}
+    # --T (2**63 - 1) // M passes validation.  The explore-then-commit runners'
+    # Stage-1 (M, t1) regrets fit in no array; lll draws task by task and runs.
+    horizon = MAX_COUNT // 2
+    shape = {"--d": "3", "--k": "1", "--M": "2", "--seeds": "1", "--T": str(horizon)}
     done = run_limited(command_args(name, shape))
     if name.startswith("lll"):
         assert (done.returncode, done.stderr) == (0, "")
@@ -199,9 +200,47 @@ def test_largest_accepted_horizon(name):
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "MemoryError"
-    t1 = (independent_exploration_budget(3, MAX_COUNT) if name == "independent"
-          else resolve_budgets(3, 1, 2, MAX_COUNT)[0])
+    t1 = (independent_exploration_budget(3, horizon) if name == "independent"
+          else resolve_budgets(3, 1, 2, horizon)[0])
     assert f"with shape (2, {t1}) and" in error["message"]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_pulls_past_int64_exit_2(name):
+    # M * T is every regret-mode run's pull count, and its last trace point.
+    shape = {"--d": "3", "--k": "1", "--M": "2", "--seeds": "1", "--T": str(MAX_COUNT)}
+    done = run_limited(command_args(name, shape))
+    assert_config_error(done, f"num_tasks * horizon: must be <= 2**63 - 1, got {2 * MAX_COUNT}")
+
+
+def test_trace_point_past_int64_exits_2(tmp_path):
+    # The run's last trace point would be 2**64 pulls, which int64 does not hold.
+    done = run_limited(["lll", "--mode", "regret", "--d", "10", "--k", "2", "--M", "4",
+                        "--T", str(2**62), "--seeds", "1", "--trace-stride", str(2**62),
+                        "--out-dir", str(tmp_path)])
+    assert_config_error(done, f"num_tasks * horizon: must be <= 2**63 - 1, got {2**64}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value, message", [
+    ("[]", "algorithms: must be a string, got []"),
+    ("{}", "algorithms: must be a string, got {}"),
+    ("0", "algorithms: must be a string, got 0"),
+    ("false", "algorithms: must be a string, got False"),
+    ('""', "configs: need at least one config"),
+])
+def test_falsy_algorithms_exit_2(tmp_path, monkeypatch, capsys, value, message):
+    # Only a missing key runs the default algorithms; a falsy value is checked.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    Path("config.json").write_text(f'{{"algorithms": {value}}}')
+    shape = {flag: edge for flag, edge in SHAPE.items() if flag != "--out-dir"}
+    assert cli.main(command_args("compare", {**shape, "--config": "config.json"})) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
 
 
 @pytest.mark.parametrize("name", COMMANDS)

@@ -400,12 +400,13 @@ class TestRegretLedger:
         assert type(ledger.num_pulls) is int and ledger.num_pulls == 2
         assert ledger.total == 1.0 and len(ledger._segments) == 1
 
-    def test_stride_zero_disables_trace(self):
+    def test_stride_zero_keeps_the_final_point_alone(self):
         ledger = RegretLedger(1, 0)
-        ledger.record_block(1.0, 10)
+        assert [a.size for a in ledger.trace()] == [0, 0]  # no pulls: no point
+        ledger.record_block(0.1 + 0.2, 10)
         ts, cums = ledger.trace()
-        assert ts.size == 0 and cums.size == 0
-        assert ledger.total == 10.0
+        assert ts.tolist() == [10] and cums.tolist() == [ledger.total]
+        assert cums[0].hex() == ledger.total.hex() == (10 * (0.1 + 0.2)).hex()
 
     def test_final_point_always_present(self):
         ledger = RegretLedger(1, trace_stride=4)
@@ -489,8 +490,10 @@ class TestTraceSegments:
             else:
                 ledger.record_interleaved(*payload)
         got_t, got_c = ledger.trace()
-        if stride == 0:
-            assert got_t.size == 0 and got_c.size == 0
+        assert np.array_equal(ledger.trace_grid(), got_t) and ledger.trace_size() == got_t.size
+        if stride == 0:  # the final point alone
+            assert got_t.tolist() == [ledger.num_pulls] and ledger.num_pulls > 0
+            assert got_c.tobytes() == np.array([ledger.total]).tobytes()
             return
         ts, cums, total = self.reference(events, stride)
         assert ledger.total == total
@@ -517,7 +520,12 @@ class TestTraceSegments:
         "before_the_first_point": (10, 7, [7]),
         "on_the_first_point": (5, 5, [5]),
         "nothing_recorded": (10, 0, []),
-        "trace_disabled": (0, 25, []),
+        "stride_zero": (0, 25, [25]),
+        "stride_zero_nothing_recorded": (0, 0, []),
+        # at the int64 edge, where the next multiple of the stride would pass it
+        "past_half_of_int64": (2**62, 2**62 + 2, [2**62, 2**62 + 2]),
+        "near_the_largest_pulls": (2**62 + 1, 2**63 - 1, [2**62 + 1, 2**63 - 1]),
+        "largest_stride_and_pulls": (2**63 - 1, 2**63 - 1, [2**63 - 1]),
         "long_off_the_grid": (7, 100, [*range(7, 99, 7), 100]),
     }
 
@@ -529,7 +537,9 @@ class TestTraceSegments:
         grid = ledger.trace_grid()
         assert grid.dtype == np.zeros(0, dtype=int).dtype
         assert np.array_equal(grid, expected) and ledger.trace_size() == len(expected)
-        assert np.array_equal(ledger.trace()[0], expected)
+        ts, cums = ledger.trace()
+        assert np.array_equal(ts, expected) and cums.size == len(expected)
+        assert cums[:-1].tolist() == [0.5 * t for t in expected[:-1]]  # the block's line
 
     @pytest.mark.parametrize(
         "stride, pulls, size",
@@ -677,15 +687,16 @@ class TestRecordInterleavedBlock:
         cums = total + np.cumsum(materialised.T.ravel())  # step-major, unchunked
         assert ledger.num_pulls == pulls + count
         assert ledger.total == (cums[-1] if count else total)
-        if stride == 0:
-            assert ledger.trace()[0].size == 0
+        got_t, got_c = ledger.trace()
+        if stride == 0:  # the final point alone, or none before the first pull
+            assert got_t.tolist() == ([ledger.num_pulls] if ledger.num_pulls else [])
+            assert got_c.tobytes() == np.array([ledger.total][: got_t.size]).tobytes()
             return
         ts = np.arange((pulls // stride + 1) * stride, pulls + count + 1, stride)
         expected_t, expected_c = list(ts), list(cums[ts - pulls - 1])
         if count and (not expected_t or expected_t[-1] != pulls + count):
             expected_t.append(pulls + count)
             expected_c.append(cums[-1])
-        got_t, got_c = ledger.trace()
         after = got_t > pulls
         assert np.array_equal(got_t[after], expected_t)
         assert np.array_equal(got_c[after], expected_c)
@@ -774,8 +785,9 @@ class TestPeriodicPath:
         assert ledger.num_pulls == pulls + count
         assert ledger.total == cums[-1]
         got_t, got_c = ledger.trace()
-        if stride == 0:
-            assert got_t.size == 0
+        if stride == 0:  # the final point alone
+            assert got_t.tolist() == [ledger.num_pulls]
+            assert got_c.tobytes() == np.array([ledger.total]).tobytes()
             return
         ts = np.arange((pulls // stride + 1) * stride, pulls + count + 1, stride)
         if ts.size == 0 or ts[-1] != pulls + count:

@@ -66,9 +66,6 @@ class FakeLedger:
     def trace(self) -> tuple[np.ndarray, np.ndarray]:
         return self.ts, self.cums
 
-    def trace_size(self) -> int:
-        return self.ts.size
-
 
 def count_pools(monkeypatch) -> list:
     """The ``max_workers`` of every process pool the harness creates from now on."""
@@ -180,7 +177,7 @@ class TestRunExperiment:
     def test_disabled_trace_keeps_the_final_point(self):
         records, _ = run_experiment(small_config(algorithm="mtrl", trace_stride=0))
         for record in records:
-            assert record.trace_size == 1
+            assert record.ledger.trace_size() == 1
             assert record.trace_t.tolist() == [SMALL["num_tasks"] * SMALL["horizon"]]
             assert record.trace_regret.tolist() == [record.final_regret]
 
@@ -313,14 +310,15 @@ class TestRoundTrip:
         config = small_config(algorithm="e2tc", out_dir=str(out))
         records, _ = run_experiment(config)
         rows = csv_rows(out / "curves.csv", harness.CURVES_HEADER)
-        assert len(rows) == sum(r.trace_size for r in records)
+        assert len(rows) == sum(r.ledger.trace_size() for r in records)
         for r in records:
+            assert r.config == config
             mine = [row for row in rows if int(row["seed"]) == r.seed_index]
             for row in mine:
-                assert row["algo"] == r.algorithm
-                assert (int(row["d"]), int(row["k"])) == (r.dim, r.rep_dim)
-                assert (int(row["M"]), int(row["T"])) == (r.num_tasks, r.horizon)
-                assert float(row["noise_std"]) == r.noise_std
+                assert row["algo"] == config.algorithm
+                assert (int(row["d"]), int(row["k"])) == (config.dim, config.rep_dim)
+                assert (int(row["M"]), int(row["T"])) == (config.num_tasks, config.horizon)
+                assert float(row["noise_std"]) == config.noise_std
             ts = np.array([int(row["t"]) for row in mine])
             cums = np.array([float(row["cum_regret"]) for row in mine])
             assert np.array_equal(ts, r.trace_t)
@@ -334,10 +332,10 @@ class TestRoundTrip:
         )
         records, _ = run_experiment(config)
         rows = csv_rows(out / "per_task.csv", harness.PER_TASK_HEADER)
-        assert len(rows) == sum(r.num_tasks for r in records)
+        assert len(rows) == sum(r.config.num_tasks for r in records)
         for r in records:
             mine = [row for row in rows if int(row["seed"]) == r.seed_index]
-            assert [int(row["task"]) for row in mine] == list(range(r.num_tasks))
+            assert [int(row["task"]) for row in mine] == list(range(r.config.num_tasks))
             regrets = np.array([float(row["task_regret"]) for row in mine])
             assert regrets.tobytes() == r.per_task_regret.tobytes()
             entered = np.array([bool(int(row["entered_stage2"])) for row in mine])
@@ -360,12 +358,18 @@ class TestRoundTrip:
             return buf.getvalue()
 
         def prefix(r):
-            return [r.algorithm, str(r.dim), str(r.rep_dim), str(r.num_tasks), str(r.horizon)]
+            c = r.config
+            return [c.algorithm, str(c.dim), str(c.rep_dim), str(c.num_tasks), str(c.horizon)]
+
+        def config(algorithm, noise_std):
+            return ExperimentConfig(
+                algorithm=algorithm, dim=10, rep_dim=2, num_tasks=3, horizon=1000,
+                noise_std=noise_std,
+            )
 
         def record(algorithm, noise_std, seed, ts, regrets, **lll_fields):
             return RunRecord(
-                algorithm=algorithm, dim=10, rep_dim=2, num_tasks=3, horizon=1000,
-                noise_std=noise_std, seed_index=seed, final_regret=regrets[-1],
+                config=config(algorithm, noise_std), seed_index=seed,
                 ledger=FakeLedger(ts, regrets), **lll_fields,
             )
 
@@ -373,9 +377,10 @@ class TestRoundTrip:
             # The writer's former per-row f-string, the reference for its one `%` call.
             chunks = [",".join(harness.CURVES_HEADER) + "\n"]
             for r in records:
+                c = r.config
                 prefix = (
-                    f"{r.algorithm},{r.dim},{r.rep_dim},{r.num_tasks},{r.horizon},"
-                    f"{fmt(r.noise_std)},{r.seed_index},"
+                    f"{c.algorithm},{c.dim},{c.rep_dim},{c.num_tasks},{c.horizon},"
+                    f"{fmt(c.noise_std)},{r.seed_index},"
                 )
                 chunks.append("".join([
                     f"{prefix}{t},{c:.17g}\n"
@@ -386,10 +391,7 @@ class TestRoundTrip:
         def stride_0_record():
             ledger = RegretLedger(3, trace_stride=0)
             ledger.record_block(0.1 + 0.2, 7)
-            return RunRecord(
-                algorithm="e2tc", dim=10, rep_dim=2, num_tasks=3, horizon=1000,
-                noise_std=1e-300, seed_index=5, final_regret=ledger.total, ledger=ledger,
-            )
+            return RunRecord(config=config("e2tc", 1e-300), seed_index=5, ledger=ledger)
 
         def lll_record(seed, noise_std):
             return record(
@@ -418,7 +420,7 @@ class TestRoundTrip:
         ]
         for records in curves_cases:
             rows = [
-                prefix(r) + [fmt(r.noise_std), str(r.seed_index), str(int(t)), fmt(c)]
+                prefix(r) + [fmt(r.config.noise_std), str(r.seed_index), str(int(t)), fmt(c)]
                 for r in records
                 for t, c in zip(r.trace_t, r.trace_regret)
             ]
@@ -433,7 +435,7 @@ class TestRoundTrip:
                 str(int(r.samples_used[task])),
             ]
             for r in records
-            for task in range(r.num_tasks)
+            for task in range(r.config.num_tasks)
         ]
         assert harness._per_task_csv_text(records) == csv_text(harness.PER_TASK_HEADER, rows)
 
@@ -515,14 +517,8 @@ class TestRoundTrip:
 class TestSummarize:
     def fake_record(self, final, seed):
         return RunRecord(
-            algorithm="mtrl",
-            dim=6,
-            rep_dim=2,
-            num_tasks=5,
-            horizon=400,
-            noise_std=1.0,
+            config=small_config(algorithm="mtrl"),
             seed_index=seed,
-            final_regret=final,
             ledger=FakeLedger([1, 2], [final / 2, final]),
         )
 
@@ -544,7 +540,7 @@ class TestSummarize:
     def test_rejects_heterogeneous(self):
         a = self.fake_record(1.0, 0)
         b = self.fake_record(1.0, 1)
-        b.algorithm = "e2tc"
+        b.config = small_config(algorithm="e2tc")
         with pytest.raises(ValueError):
             summarize([a, b])
 
