@@ -15,8 +15,8 @@ an instance's parameters, ``_mean_rewards`` checks every oracle call's task
 index, action dimension and unit ball (the one-action oracles first reject any
 shape but ``(dim,)`` in ``_one_action``), and ``RegretLedger``'s ``record_*``
 methods check the regret range and the count of every record.
-Everything between (the learners' loops, ``pull_block_mean``'s regret)
-reuses those checked values instead of checking them again.
+Everything between (the learners' loops, ``pull_block_mean``'s regret, the
+``linalg`` kernels) reuses those checked values instead of checking them again.
 """
 
 from __future__ import annotations
@@ -142,6 +142,8 @@ def generate_instance(
         raise ConfigError(
             f"num_tasks: {spec.num_tasks} task weights do not fit in one array"
         ) from None
+    # The scalar sampler, not the batch one, whose row norms differ in the last
+    # bit: merging the two samplers would change every frozen instance.
     for task in range(spec.num_tasks):
         weights[:, task] = sample_unit_sphere(spec.rep_dim, rng)
     instance = BanditInstance(
@@ -323,6 +325,7 @@ class RegretLedger:
         does not grow with ``repeat``, and time grows with it only where
         whole periods cannot be jumped; ``_StepMajorSum`` says how.
         """
+        repeat = operator.index(repeat)
         if repeat < 0:
             raise ValueError(f"repeat must be >= 0, got {repeat}")
         regrets = self._validated(regrets)

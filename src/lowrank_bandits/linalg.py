@@ -9,6 +9,17 @@ All functions are pure: randomness enters only through an explicitly
 passed ``numpy.random.Generator``, so concurrent use on distinct
 generators is safe.
 
+The kernels do not check their arguments; each guarantee comes from one
+place upstream.  ``InstanceSpec.validate`` bounds the counts and the SVD rank
+``1 <= rep_dim <= min(dim, num_tasks)``; ``resolve_budgets`` gives Stage 2 a
+block of at least one pull and Stage 3 a remainder of at least zero;
+``check_invariants`` checks the true basis, the SVD or ``eigh`` that built an
+estimated one makes it orthonormal, and ``extend_basis`` checks its basis
+before projecting.  Two checks stay, as nothing upstream stands in for them:
+``sample_unit_sphere``'s ``dim >= 1`` (its retry loop would never end) and
+``least_squares_on_subspace``'s ``SingularDesignError`` (the SVD of a short
+design would return a minimum-norm answer instead of raising).
+
 Tolerances are fixed for 64-bit floats: 1e-8 for orthonormality checks,
 1e-10 for exact-case assertions, 1e-12 for normalization.
 """
@@ -29,27 +40,22 @@ def empty_basis(dim: int) -> np.ndarray:
     return np.zeros((int(dim), 0))
 
 
-def is_orthonormal(basis: np.ndarray, atol: float = ORTHONORMAL_ATOL) -> bool:
-    """True when ``basis.T @ basis`` equals the identity within ``atol`` per entry."""
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        return False
+def is_orthonormal(basis: np.ndarray) -> bool:
+    """True when ``basis.T @ basis`` is the identity within ``ORTHONORMAL_ATOL`` per entry."""
     width = basis.shape[1]
     gram = basis.T @ basis
-    return bool(np.max(np.abs(gram - np.eye(width)), initial=0.0) < atol)
+    return bool(np.max(np.abs(gram - np.eye(width)), initial=0.0) < ORTHONORMAL_ATOL)
 
 
-def require_orthonormal(basis: np.ndarray, name: str = "basis") -> np.ndarray:
+def require_orthonormal(basis: np.ndarray) -> np.ndarray:
     """Validate orthonormal columns (and finite entries); return as float array."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array, got shape {basis.shape}")
+        raise ValueError(f"basis must be a 2-D array, got shape {basis.shape}")
     if not np.all(np.isfinite(basis)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if basis.shape[1] > basis.shape[0]:
-        raise ValueError(f"{name} has more columns than rows: {basis.shape}")
+        raise ValueError("basis contains non-finite entries")
     if not is_orthonormal(basis):
-        raise ValueError(f"{name} does not have orthonormal columns")
+        raise ValueError("basis does not have orthonormal columns")
     return basis
 
 
@@ -59,7 +65,7 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
     Implemented as a normalized standard-Gaussian draw, which is exactly
     uniform on the sphere in any dimension.
     """
-    if dim < 1:
+    if dim < 1:  # the retry loop below would never end
         raise ValueError(f"dim must be >= 1, got {dim}")
     vec = rng.standard_normal(dim)
     norm = float(np.linalg.norm(vec))
@@ -71,10 +77,6 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_unit_sphere_many(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent sphere-uniform rows, shape (count, dim)."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
     mat = rng.standard_normal((count, dim))
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     bad = np.nonzero(norms[:, 0] < ZERO_NORM_ATOL)[0]
@@ -92,12 +94,6 @@ def top_k_left_singular_vectors(matrix: np.ndarray, k: int) -> np.ndarray:
     repeated singular values, rotation of the returned basis are
     unspecified; downstream consumers must be rotation-invariant.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    bound = min(matrix.shape)
-    if not 1 <= k <= bound:
-        raise ValueError(f"k must be in [1, {bound}] for shape {matrix.shape}, got {k}")
     u, _, _ = np.linalg.svd(matrix, full_matrices=False)
     return np.ascontiguousarray(u[:, :k])
 
@@ -109,12 +105,6 @@ def subspace_distance(basis_hat: np.ndarray, basis: np.ndarray) -> float:
     orthonormal inputs.  Invariant to orthogonal rotation of either
     basis's columns.
     """
-    basis_hat = require_orthonormal(basis_hat, "basis_hat")
-    basis = require_orthonormal(basis, "basis")
-    if basis_hat.shape[0] != basis.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {basis_hat.shape[0]} vs {basis.shape[0]}"
-        )
     if basis.shape[1] == 0:
         return 0.0
     resid = basis - basis_hat @ (basis_hat.T @ basis)
@@ -127,10 +117,6 @@ def project_orthogonal_complement(basis: np.ndarray, vec: np.ndarray) -> np.ndar
 
     Returns ``vec`` unchanged for the empty basis.
     """
-    basis = require_orthonormal(basis)
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (basis.shape[0],):
-        raise ValueError(f"vector shape {vec.shape} does not match dim {basis.shape[0]}")
     return vec - basis @ (basis.T @ vec)
 
 
@@ -144,18 +130,7 @@ def least_squares_on_subspace(
     the callers construct orthonormal designs, so deficiency signals a bug
     rather than something to regularize away.
     """
-    basis_hat = require_orthonormal(basis_hat, "basis_hat")
-    actions = np.asarray(actions, dtype=float)
-    rewards = np.asarray(rewards, dtype=float).ravel()
     width = basis_hat.shape[1]
-    if actions.ndim != 2 or actions.shape[1] != basis_hat.shape[0]:
-        raise ValueError(
-            f"actions must have shape (n, {basis_hat.shape[0]}), got {actions.shape}"
-        )
-    if rewards.shape[0] != actions.shape[0]:
-        raise ValueError(
-            f"got {actions.shape[0]} actions but {rewards.shape[0]} rewards"
-        )
     if width == 0:
         return np.zeros(0)
     if actions.shape[0] < width:
@@ -177,9 +152,6 @@ def argmax_unit_ball(theta: np.ndarray) -> np.ndarray:
     numerically zero every unit vector ties; the first standard basis
     vector is returned as a fixed, reproducible convention.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.shape[0] < 1:
-        raise ValueError(f"theta must be a non-empty vector, got shape {theta.shape}")
     norm = float(np.linalg.norm(theta))
     if norm <= ZERO_NORM_ATOL:
         out = np.zeros(theta.shape[0])
@@ -190,10 +162,4 @@ def argmax_unit_ball(theta: np.ndarray) -> np.ndarray:
 
 def kth_singular_value(matrix: np.ndarray, k: int) -> float:
     """The k-th largest singular value of ``matrix`` (k is 1-based)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    bound = min(matrix.shape)
-    if not 1 <= k <= bound:
-        raise ValueError(f"k must be in [1, {bound}] for shape {matrix.shape}, got {k}")
     return float(np.linalg.svd(matrix, compute_uv=False)[k - 1])

@@ -181,8 +181,6 @@ def reestimate_theta_coordinatewise(
 
     Records ``dim * n2_per_coordinate`` regret entries.
     """
-    if n2_per_coordinate < 1:
-        raise ValueError(f"n2_per_coordinate must be >= 1, got {n2_per_coordinate}")
     return task_specific_exploration(
         instance, task, np.eye(instance.dim), n2_per_coordinate, rng, ledger
     )[1]
@@ -208,9 +206,8 @@ def extend_basis(
         return basis, False
     if norm < epsilon * EXTENSION_FLOOR_FRACTION:
         return basis, False
-    column = residual / norm
     # One re-orthogonalization pass keeps accumulated drift below tolerance.
-    column = column - basis @ (basis.T @ column)
+    column = project_orthogonal_complement(basis, residual / norm)
     column /= np.linalg.norm(column)
     return np.column_stack([basis, column]), True
 

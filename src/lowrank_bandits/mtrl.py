@@ -166,8 +166,6 @@ def stage2_per_task(
     Returns the ``(width, num_tasks)`` weight estimates and records
     ``num_tasks * width * block`` pulls.
     """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
     width = basis_hat.shape[1]
     actions = np.repeat(basis_hat.T, block, axis=0)  # column i for block steps, in order
     num_tasks = instance.num_tasks
@@ -188,10 +186,6 @@ def stage3_commit(
     ledger: RegretLedger,
 ) -> None:
     """Stage 3: play the greedy unit-ball action per task for all remaining steps."""
-    if remaining_steps < 0:
-        raise ValueError(f"remaining_steps must be >= 0, got {remaining_steps}")
-    if remaining_steps == 0:
-        return
     num_tasks = instance.num_tasks
     per_task = np.empty(num_tasks)
     for task in range(num_tasks):

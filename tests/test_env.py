@@ -723,6 +723,20 @@ class TestRecordInterleavedBlock:
         with pytest.raises(ValueError, match="repeat"):
             ledger.record_interleaved(np.array([[0.5], [0.5]]), -1)
 
+    @pytest.mark.parametrize("stride", [0, 1, 3])
+    def test_numpy_integer_repeat_keeps_python_int_counts(self, stride):
+        # as record_block does with its count: the pull counter stays a Python int
+        ledger = RegretLedger(2, stride)
+        ledger.record_interleaved(np.full((2, 1), 0.5), np.int64(3))
+        assert type(ledger.num_pulls) is int and ledger.num_pulls == 6
+        assert type(ledger.trace_size()) is int
+
+    def test_non_integer_repeat_rejected(self):
+        ledger = RegretLedger(2, 3)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ledger.record_interleaved(np.full((2, 1), 0.5), 1.5)
+        assert ledger.num_pulls == 0 and ledger.total == 0.0
+
     def test_memory_independent_of_steps(self):
         num_tasks, steps = 200, 100_000
         values = np.random.default_rng(3).uniform(0, 2, size=num_tasks)

@@ -162,6 +162,13 @@ class TestExtendBasis:
             basis, _ = extend_basis(basis, candidate, 0.01)
             assert is_orthonormal(basis)
 
+    def test_checks_its_arguments(self):
+        # the public boundary: extend_basis checks its basis; numpy rejects a wrong-length estimate
+        with pytest.raises(ValueError, match="orthonormal"):
+            extend_basis(np.full((3, 1), 0.9), np.ones(3), 0.1)
+        with pytest.raises(ValueError):
+            extend_basis(np.eye(3)[:, :1], np.ones(4), 0.1)
+
 
 class TestRunLll:
     def test_noiseless_exact_chain(self):

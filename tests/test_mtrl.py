@@ -130,13 +130,6 @@ class TestStage2:
             means = rewards.reshape(inst.rep_dim, block).mean(axis=1)
             assert np.max(np.abs(weights[:, task] - means)) <= 1e-10
 
-    def test_block_below_one_rejected(self):
-        inst = make_instance(seed=7)
-        ledger = RegretLedger(inst.num_tasks, 0)
-        with pytest.raises(ValueError, match="block must be >= 1"):
-            stage2_per_task(inst, inst.basis, 0, np.random.default_rng(0), ledger)
-        assert ledger.num_pulls == 0
-
     def test_exact_chain_zero_stage3_regret(self):
         inst = make_instance(noise_std=0.0, seed=9)
         ledger = RegretLedger(inst.num_tasks, 0)
