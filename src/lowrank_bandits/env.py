@@ -17,6 +17,8 @@ shape but ``(dim,)`` in ``_one_action``), and ``RegretLedger``'s ``record_*``
 methods check the regret range and the count of every record.
 Everything between (the learners' loops, ``pull_block_mean``'s regret, the
 ``linalg`` kernels) reuses those checked values instead of checking them again.
+So a batch's rewards and regrets come from one checked evaluation of its
+means: ``pull_many`` writes the regrets into the row its caller passes.
 """
 
 from __future__ import annotations
@@ -185,10 +187,23 @@ def pull_many(
     task: int,
     actions: np.ndarray,
     rng: np.random.Generator,
+    regrets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rewards for a batch of actions (rows) on one task."""
+    """Rewards for a batch of actions (rows) on one task.
+
+    With ``regrets``, a float row with one entry per action, the actions'
+    ``instant_regret_many`` is written into it, bit for bit, from the same
+    checked evaluation of the means.
+    """
     means = _mean_rewards(instance, task, np.atleast_2d(actions))
-    return means + instance.noise_std * rng.standard_normal(means.shape[0])
+    if regrets is not None:
+        if regrets.shape != means.shape:
+            raise ValueError(f"regrets shape {regrets.shape} != {means.shape}")
+        _regrets(means, out=regrets)
+    rewards = rng.standard_normal(means.shape[0])
+    rewards *= instance.noise_std
+    rewards += means
+    return rewards
 
 
 def pull_block_mean(
@@ -219,6 +234,12 @@ def _regret(mean: float) -> float:
     return min(max(1.0 - mean, 0.0), 2.0)
 
 
+def _regrets(means: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_regret`` of every mean, written into ``out`` when it is given."""
+    out = np.subtract(1.0, means, out=out)
+    return np.clip(out, 0.0, 2.0, out=out)
+
+
 def instant_regret(instance: BanditInstance, task: int, action: np.ndarray) -> float:
     """Expected instantaneous regret ``1 - <action, theta_task>``, in [0, 2].
 
@@ -243,7 +264,7 @@ def instant_regret_many(
     instance: BanditInstance, task: int, actions: np.ndarray
 ) -> np.ndarray:
     """Vectorized ``instant_regret`` over rows of ``actions``."""
-    return np.clip(1.0 - _mean_rewards(instance, task, np.atleast_2d(actions)), 0.0, 2.0)
+    return _regrets(_mean_rewards(instance, task, np.atleast_2d(actions)))
 
 
 class RegretLedger:

@@ -5,9 +5,11 @@ matrices are 2-D arrays, and an orthonormal basis is a ``(d, width)``
 matrix with orthonormal columns.  A basis with zero columns, shape
 ``(d, 0)``, is legal and denotes the trivial subspace.
 
-All functions are pure: randomness enters only through an explicitly
-passed ``numpy.random.Generator``, so concurrent use on distinct
-generators is safe.
+All functions are pure, except that ``sample_unit_sphere_many`` draws into
+the ``out`` buffer its caller may pass: randomness enters only through an
+explicitly passed ``numpy.random.Generator``, so concurrent use on distinct
+generators and buffers is safe.  ``least_squares_on_subspace`` solves a
+stack of reward rows that share one design with one factorization.
 
 The kernels do not check their arguments; each guarantee comes from one
 place upstream.  ``InstanceSpec.validate`` bounds the counts and the SVD rank
@@ -75,16 +77,25 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vec / norm
 
 
-def sample_unit_sphere_many(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent sphere-uniform rows, shape (count, dim)."""
-    mat = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    bad = np.nonzero(norms[:, 0] < ZERO_NORM_ATOL)[0]
+def sample_unit_sphere_many(
+    dim: int, count: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``count`` independent sphere-uniform rows, shape (count, dim).
+
+    With ``out``, a C-contiguous float ``(count, dim)`` array, the rows are
+    drawn into it and normalized in place, and ``out`` is returned.  The row
+    norms are ``np.linalg.norm(mat, axis=1)``'s arithmetic, so either way the
+    rows have the bits of ``mat / np.linalg.norm(mat, axis=1, keepdims=True)``.
+    """
+    mat = rng.standard_normal((count, dim), out=out)
+    norms = np.add.reduce(mat * mat, axis=1)
+    np.sqrt(norms, out=norms)
+    bad = np.nonzero(norms < ZERO_NORM_ATOL)[0]
     for i in bad:  # same retry guard as the scalar path
-        row = sample_unit_sphere(dim, rng)
-        mat[i] = row
-        norms[i, 0] = 1.0
-    return mat / norms
+        mat[i] = sample_unit_sphere(dim, rng)
+        norms[i] = 1.0
+    mat /= norms[:, None]
+    return mat
 
 
 def top_k_left_singular_vectors(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -129,10 +140,15 @@ def least_squares_on_subspace(
     than the normal equations.  A rank-deficient design is a hard error:
     the callers construct orthonormal designs, so deficiency signals a bug
     rather than something to regularize away.
+
+    ``rewards`` is one ``(n,)`` vector, or a ``(num_problems, n)`` stack of
+    reward rows sharing the design, which is then factored once; the result
+    is ``(width,)``, or ``(width, num_problems)`` with one column per row,
+    each the bits of a one-row call.
     """
     width = basis_hat.shape[1]
     if width == 0:
-        return np.zeros(0)
+        return np.zeros((0, *rewards.shape[:-1]))
     if actions.shape[0] < width:
         raise SingularDesignError(
             f"need at least {width} observations, got {actions.shape[0]}"
@@ -141,7 +157,12 @@ def least_squares_on_subspace(
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] <= DESIGN_RCOND * max(s[0], 1.0):
         raise SingularDesignError("design matrix is rank deficient")
-    return vt.T @ ((u.T @ rewards) / s)
+    if rewards.ndim == 1:
+        return vt.T @ ((u.T @ rewards) / s)
+    weights = np.empty((width, rewards.shape[0]))
+    for j, row in enumerate(rewards):  # one GEMM over all rows would round differently
+        weights[:, j] = vt.T @ ((u.T @ row) / s)
+    return weights
 
 
 def argmax_unit_ball(theta: np.ndarray) -> np.ndarray:

@@ -5,11 +5,13 @@ of each task coefficient, stacks them into a ``(dim, num_tasks)`` matrix and
 takes its top-``rep_dim`` left singular vectors as the shared subspace.  One
 helper, ``_stage1_theta_hat``, fills that matrix column by column while
 ``collect_stage1_samples`` streams each task's batch, so memory holds the
-``(num_tasks, t1)`` regrets plus one batch; the independent baseline calls
-it too, and e2tc streams the same batches into its squared-covariance sum.
-Stage 2 plays each estimated basis column for a fixed block per task and
-solves a least-squares problem for the low-dimensional weights.  Stage 3
-commits to the greedy unit-ball action for the rest of the horizon.
+``(num_tasks, t1)`` regrets plus one reused batch; the independent baseline
+calls it too, and e2tc streams the same batches into its squared-covariance
+sum.  Stage 2 plays each estimated basis column for a fixed block per task and
+solves a least-squares problem for the low-dimensional weights; every task
+plays the same design, so it is factored once.  Stage 3 commits to the greedy
+unit-ball action for the rest of the horizon.  Each batch is one pass: the
+oracle evaluates it once, for its rewards and its regrets.
 
 The three-stage skeleton, ``_run_three_stage``, is shared with the
 squared-covariance variant in :mod:`lowrank_bandits.baselines`; only the
@@ -25,13 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .env import (
-    BanditInstance,
-    RegretLedger,
-    instant_regret,
-    instant_regret_many,
-    pull_many,
-)
+from .env import BanditInstance, RegretLedger, instant_regret, pull_many
+# Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding.
+from .env import instant_regret_many  # noqa: F401
 from .errors import ConfigError, HorizonTooShortError
 from .linalg import (
     argmax_unit_ball,
@@ -93,19 +91,22 @@ def collect_stage1_samples(
 ) -> None:
     """Sphere-uniform exploration on every task, streamed one task at a time.
 
-    Each task's ``(t1, dim)`` batch is drawn, pulled and charged, then
-    handed to ``per_task(task, acts, rewards)`` and dropped, so memory holds
-    one batch, not ``num_tasks * t1 * dim`` actions.  Per task the generator
-    draws ``t1 * dim`` sphere normals, then ``t1`` noise normals.  The
-    ``(num_tasks, t1)`` regret matrix is kept and recorded once, after the
-    last task: the step-major record needs every task's regret at each step.
+    Each task's ``(t1, dim)`` batch is drawn into one buffer reused for every
+    task, pulled once for its rewards and regrets, then handed to
+    ``per_task(task, acts, rewards)``, so memory holds one batch, not
+    ``num_tasks * t1 * dim`` actions.  ``acts`` is valid only during the
+    call: the next task's draw overwrites it, so a callback that keeps it
+    keeps a copy.  Per task the generator draws ``t1 * dim`` sphere normals,
+    then ``t1`` noise normals.  The ``(num_tasks, t1)`` regret matrix is kept
+    and recorded once, after the last task: the step-major record needs
+    every task's regret at each step.
     """
     num_tasks, dim = instance.num_tasks, instance.dim
     regrets = np.empty((num_tasks, t1))
+    acts = np.empty((t1, dim))
     for task in range(num_tasks):
-        acts = sample_unit_sphere_many(dim, t1, rng)
-        rewards = pull_many(instance, task, acts, rng)
-        regrets[task] = instant_regret_many(instance, task, acts)
+        sample_unit_sphere_many(dim, t1, rng, out=acts)
+        rewards = pull_many(instance, task, acts, rng, regrets=regrets[task])
         per_task(task, acts, rewards)
     ledger.record_interleaved(regrets)
 
@@ -163,20 +164,20 @@ def stage2_per_task(
 ) -> np.ndarray:
     """Stage 2: play each basis column ``block`` times per task, solve least squares.
 
-    Returns the ``(width, num_tasks)`` weight estimates and records
-    ``num_tasks * width * block`` pulls.
+    Every task plays the same actions, so one call solves all tasks' least
+    squares and factors their shared design once.  Returns the ``(width,
+    num_tasks)`` weight estimates and records ``num_tasks * width * block``
+    pulls.
     """
     width = basis_hat.shape[1]
     actions = np.repeat(basis_hat.T, block, axis=0)  # column i for block steps, in order
     num_tasks = instance.num_tasks
-    weights_hat = np.empty((width, num_tasks))
+    rewards = np.empty((num_tasks, width * block))
     regrets = np.empty((num_tasks, width * block))
     for task in range(num_tasks):
-        rewards = pull_many(instance, task, actions, rng)
-        weights_hat[:, task] = least_squares_on_subspace(actions, rewards, basis_hat)
-        regrets[task] = instant_regret_many(instance, task, actions)
+        rewards[task] = pull_many(instance, task, actions, rng, regrets=regrets[task])
     ledger.record_interleaved(regrets)
-    return weights_hat
+    return least_squares_on_subspace(actions, rewards, basis_hat)
 
 
 def stage3_commit(

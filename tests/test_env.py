@@ -137,6 +137,34 @@ class TestPull:
         )
         assert abs(rewards.mean() - 0.7) <= 3 / np.sqrt(100_000) * 1.1
 
+    @staticmethod
+    def batch(inst, task):
+        rng = np.random.default_rng(16)
+        units = rng.standard_normal((40, inst.dim))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        theta = inst.thetas[:, task]
+        return np.vstack([units, theta, -theta, 0.5 * theta, np.zeros(inst.dim)])
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.7])
+    def test_regrets_row_is_instant_regret_many_bit_for_bit(self, noise_std):
+        inst = small_instance(noise_std=noise_std, seed=15)
+        actions = self.batch(inst, 2)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        matrix = np.full((3, len(actions)), np.nan)
+        rewards = pull_many(inst, 2, actions, rng, regrets=matrix[1])
+        assert matrix[1].tobytes() == instant_regret_many(inst, 2, actions).tobytes()
+        assert np.isnan(matrix[[0, 2]]).all()
+        means = actions @ inst.thetas[:, 2]
+        expected = means + inst.noise_std * twin.standard_normal(len(actions))
+        assert rewards.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_regrets_row_of_another_length_rejected(self):
+        inst = small_instance()
+        actions = self.batch(inst, 0)
+        with pytest.raises(ValueError, match="regrets shape"):
+            pull_many(inst, 0, actions, np.random.default_rng(0), regrets=np.empty(len(actions) - 1))
+
     def test_block_mean_matches_noiseless_mean(self):
         inst = small_instance(noise_std=0.0)
         action = inst.thetas[:, 3]

@@ -62,6 +62,57 @@ class TestSampleUnitSphere:
         assert np.max(np.abs(second_moment - np.eye(10))) < 0.05
 
 
+def norm_formula_sampler(dim, count, rng):
+    """``sample_unit_sphere_many`` as it was before it could draw into a buffer."""
+    mat = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    for i in np.nonzero(norms[:, 0] < linalg.ZERO_NORM_ATOL)[0]:
+        mat[i] = sample_unit_sphere(dim, rng)
+        norms[i, 0] = 1.0
+    return mat / norms
+
+
+class ZeroedRows:
+    """A generator whose 2-D draws come back with the given rows set to zero."""
+
+    def __init__(self, seed, rows):
+        self.rng = np.random.default_rng(seed)
+        self.rows = rows
+
+    def standard_normal(self, size=None, out=None):
+        draw = self.rng.standard_normal(size, out=out)
+        if np.ndim(draw) == 2:
+            draw[self.rows] = 0.0
+        return draw
+
+
+class TestSampleUnitSphereManyBits:
+    """Drawing into a buffer and normalizing in place keeps the old rows' bits."""
+
+    # numpy's pairwise sum changes path at 8 and at 128 entries per row.
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 10, 50, 128, 129])
+    @pytest.mark.parametrize("into_buffer", [True, False])
+    def test_rows_equal_the_norm_formula(self, dim, into_buffer):
+        rng, twin = np.random.default_rng(dim), np.random.default_rng(dim)
+        buf = np.full((300, dim), np.nan) if into_buffer else None
+        rows = sample_unit_sphere_many(dim, 300, rng, out=buf)
+        if into_buffer:
+            assert rows is buf
+        mat = twin.standard_normal((300, dim))
+        expected = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        assert rows.shape == (300, dim)
+        assert rows.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [1, 10])
+    def test_zero_rows_are_redrawn_as_before(self, dim):
+        zeroed = [0, 5, 6]
+        rows = sample_unit_sphere_many(dim, 8, ZeroedRows(4, zeroed), out=np.empty((8, dim)))
+        expected = norm_formula_sampler(dim, 8, ZeroedRows(4, zeroed))
+        assert rows.tobytes() == expected.tobytes()
+        assert np.allclose(np.linalg.norm(rows[zeroed], axis=1), 1.0, atol=1e-12)
+
+
 class TestTopKLeftSingularVectors:
     def test_orthonormal_input_spans_itself(self):
         a = np.zeros((3, 2))
@@ -194,6 +245,21 @@ class TestLeastSquaresOnSubspace:
         basis = np.eye(3)[:, :2]
         with pytest.raises(SingularDesignError):
             least_squares_on_subspace(np.eye(3)[:1], np.ones(1), basis)
+
+    def test_stacked_rewards_solve_each_row_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        basis = top_k_left_singular_vectors(rng.standard_normal((10, 4)), 2)
+        actions = np.repeat(basis.T, 50, axis=0)
+        rewards = rng.standard_normal((7, 100))
+        stacked = least_squares_on_subspace(actions, rewards, basis)
+        assert stacked.shape == (2, 7)
+        for j, row in enumerate(rewards):
+            single = least_squares_on_subspace(actions, row.copy(), basis)
+            assert stacked[:, j].tobytes() == single.tobytes()
+
+    def test_empty_basis_gives_one_empty_column_per_row(self):
+        solved = least_squares_on_subspace(np.eye(3), np.ones((4, 3)), np.zeros((3, 0)))
+        assert solved.shape == (0, 4)
 
 
 class TestArgmaxUnitBall:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lowrank_bandits import env, run_e2tc, run_independent_etc
 from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance
 from lowrank_bandits.errors import ConfigError, HorizonTooShortError
 from lowrank_bandits.linalg import subspace_distance, top_k_left_singular_vectors
@@ -137,6 +138,41 @@ class TestStage2:
         before = ledger.total
         stage3_commit(inst, inst.basis @ weights, 100, ledger)
         assert ledger.total - before <= 1e-9
+
+
+class TestOnePassPerBatch:
+    """Each exploration batch is evaluated once by the oracle, for its rewards
+    and its regrets, and Stage 2's shared design is factored once per run."""
+
+    SPEC = InstanceSpec(dim=10, rep_dim=2, num_tasks=20, horizon=2000, seed=0)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"oracle": 0, "design": 0}
+        mean_rewards, svd = env._mean_rewards, np.linalg.svd
+        _, _, block = resolve_budgets(10, 2, 20, 2000)
+
+        def counting_means(*args):
+            counts["oracle"] += 1
+            return mean_rewards(*args)
+
+        def counting_svd(matrix, *args, **kwargs):
+            if matrix.shape == (2 * block, 2):  # Stage 2's design
+                counts["design"] += 1
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(env, "_mean_rewards", counting_means)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return counts
+
+    @pytest.mark.parametrize("runner,oracle,design", [
+        (run_mtrl, 3, 1),  # Stage 1 and Stage 2 batches, Stage 3's commit
+        (run_e2tc, 3, 1),
+        (run_independent_etc, 2, 0),  # exploration batch, commit
+    ])
+    def test_counts_per_run(self, counts, runner, oracle, design):
+        runner(generate_instance(self.SPEC), np.random.default_rng(1))
+        assert counts == {"oracle": oracle * self.SPEC.num_tasks, "design": design}
 
 
 class TestStage3:
