@@ -5,11 +5,11 @@ matrices are 2-D arrays, and an orthonormal basis is a ``(d, width)``
 matrix with orthonormal columns.  A basis with zero columns, shape
 ``(d, 0)``, is legal and denotes the trivial subspace.
 
-All functions are pure, except that ``sample_unit_sphere_many`` draws into
-the ``out`` buffer its caller may pass: randomness enters only through an
-explicitly passed ``numpy.random.Generator``, so concurrent use on distinct
-generators and buffers is safe.  ``least_squares_on_subspace`` solves a
-stack of reward rows that share one design with one factorization.
+All functions are pure: randomness enters only through an explicitly
+passed ``numpy.random.Generator``, so concurrent use on distinct
+generators is safe.  ``sample_unit_sphere_many`` normalizes its fresh draw
+in place, and ``least_squares_on_subspace`` solves a stack of reward rows
+that share one design with one factorization.
 
 The kernels do not check their arguments; each guarantee comes from one
 place upstream.  ``InstanceSpec.validate`` bounds the counts and the SVD rank
@@ -77,17 +77,14 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vec / norm
 
 
-def sample_unit_sphere_many(
-    dim: int, count: int, rng: np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_unit_sphere_many(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent sphere-uniform rows, shape (count, dim).
 
-    With ``out``, a C-contiguous float ``(count, dim)`` array, the rows are
-    drawn into it and normalized in place, and ``out`` is returned.  The row
-    norms are ``np.linalg.norm(mat, axis=1)``'s arithmetic, so either way the
-    rows have the bits of ``mat / np.linalg.norm(mat, axis=1, keepdims=True)``.
+    The draw is normalized in place.  The row norms are
+    ``np.linalg.norm(mat, axis=1)``'s arithmetic, so the rows have the bits
+    of ``mat / np.linalg.norm(mat, axis=1, keepdims=True)``.
     """
-    mat = rng.standard_normal((count, dim), out=out)
+    mat = rng.standard_normal((count, dim))
     norms = np.add.reduce(mat * mat, axis=1)
     np.sqrt(norms, out=norms)
     bad = np.nonzero(norms < ZERO_NORM_ATOL)[0]
@@ -157,12 +154,11 @@ def least_squares_on_subspace(
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] <= DESIGN_RCOND * max(s[0], 1.0):
         raise SingularDesignError("design matrix is rank deficient")
-    if rewards.ndim == 1:
-        return vt.T @ ((u.T @ rewards) / s)
-    weights = np.empty((width, rewards.shape[0]))
-    for j, row in enumerate(rewards):  # one GEMM over all rows would round differently
+    rows = np.atleast_2d(rewards)
+    weights = np.empty((width, rows.shape[0]))
+    for j, row in enumerate(rows):  # one GEMM over all rows would round differently
         weights[:, j] = vt.T @ ((u.T @ row) / s)
-    return weights
+    return weights[:, 0] if rewards.ndim == 1 else weights
 
 
 def argmax_unit_ball(theta: np.ndarray) -> np.ndarray:

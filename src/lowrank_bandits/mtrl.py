@@ -5,7 +5,7 @@ of each task coefficient, stacks them into a ``(dim, num_tasks)`` matrix and
 takes its top-``rep_dim`` left singular vectors as the shared subspace.  One
 helper, ``_stage1_theta_hat``, fills that matrix column by column while
 ``collect_stage1_samples`` streams each task's batch, so memory holds the
-``(num_tasks, t1)`` regrets plus one reused batch; the independent baseline
+``(num_tasks, t1)`` regrets plus one batch; the independent baseline
 calls it too, and e2tc streams the same batches into its squared-covariance
 sum.  Stage 2 plays each estimated basis column for a fixed block per task and
 solves a least-squares problem for the low-dimensional weights; every task
@@ -91,21 +91,18 @@ def collect_stage1_samples(
 ) -> None:
     """Sphere-uniform exploration on every task, streamed one task at a time.
 
-    Each task's ``(t1, dim)`` batch is drawn into one buffer reused for every
-    task, pulled once for its rewards and regrets, then handed to
-    ``per_task(task, acts, rewards)``, so memory holds one batch, not
-    ``num_tasks * t1 * dim`` actions.  ``acts`` is valid only during the
-    call: the next task's draw overwrites it, so a callback that keeps it
-    keeps a copy.  Per task the generator draws ``t1 * dim`` sphere normals,
-    then ``t1`` noise normals.  The ``(num_tasks, t1)`` regret matrix is kept
-    and recorded once, after the last task: the step-major record needs
-    every task's regret at each step.
+    Each task's ``(t1, dim)`` batch is drawn, pulled once for its rewards
+    and regrets, handed to ``per_task(task, acts, rewards)`` and dropped, so
+    memory holds one batch, not ``num_tasks * t1 * dim`` actions.  Per task
+    the generator draws ``t1 * dim`` sphere normals, then ``t1`` noise
+    normals.  The ``(num_tasks, t1)`` regret matrix is kept and recorded
+    once, after the last task: the step-major record needs every task's
+    regret at each step.
     """
     num_tasks, dim = instance.num_tasks, instance.dim
     regrets = np.empty((num_tasks, t1))
-    acts = np.empty((t1, dim))
     for task in range(num_tasks):
-        sample_unit_sphere_many(dim, t1, rng, out=acts)
+        acts = sample_unit_sphere_many(dim, t1, rng)
         rewards = pull_many(instance, task, acts, rng, regrets=regrets[task])
         per_task(task, acts, rewards)
     ledger.record_interleaved(regrets)

@@ -56,7 +56,7 @@ def stage1_estimator_errors(t1, seed, dim=10, rep_dim=2, num_tasks=25):
     batches = []
     collect_stage1_samples(
         instance, t1, np.random.default_rng(20_000 + seed), ledger,
-        lambda task, acts, rewards: batches.append((acts.copy(), rewards)),
+        lambda task, *batch: batches.append(batch),
     )
     actions, rewards = (np.stack(parts) for parts in zip(*batches))
     rect = top_k_left_singular_vectors(moment_theta_matrix(actions, rewards), rep_dim)

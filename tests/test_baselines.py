@@ -84,7 +84,7 @@ class TestSquaredEstimator:
                 batches = []
                 collect_stage1_samples(
                     inst, t1, np.random.default_rng(20_000 + seed), RegretLedger(25, 0),
-                    lambda task, acts, rewards: batches.append((acts.copy(), rewards)),
+                    lambda task, *batch: batches.append(batch),
                 )
                 actions, rewards = (np.stack(parts) for parts in zip(*batches))
                 basis = e2tc_squared_estimator(actions, rewards, inst.dim, inst.rep_dim)
