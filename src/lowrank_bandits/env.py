@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleActionError, require_finite, require_int
+from .errors import MAX_COUNT, ConfigError, InfeasibleActionError, require_finite, require_int
 from .linalg import is_orthonormal, kth_singular_value, sample_unit_sphere
 
 ACTION_NORM_ATOL = 1e-9
@@ -272,9 +272,10 @@ class RegretLedger:
 
     Tracks the cumulative sum, the pull counter and a thinned trace of
     ``(pull_index, cumulative_regret)`` pairs: one at every multiple of
-    ``trace_stride`` below ``num_pulls``, then one at ``num_pulls``.  So
-    ``trace_stride=0`` keeps the final point alone, and a ledger with no
-    pulls has an empty trace.
+    ``trace_stride`` below ``num_pulls``, then one at ``num_pulls``; none
+    without pulls.  ``trace_stride=0`` is kept as ``MAX_COUNT``, a stride no
+    run passes, so it keeps the final point alone through the same path and
+    segments as any other stride.
 
     The trace is kept as one segment per record, ``(num_pulls, count,
     total, value)`` as they stood when the record began: a block's
@@ -300,7 +301,7 @@ class RegretLedger:
         if trace_stride < 0:
             raise ValueError(f"trace_stride must be >= 0, got {trace_stride}")
         self.num_tasks = int(num_tasks)
-        self.trace_stride = int(trace_stride)
+        self.trace_stride = int(trace_stride) or MAX_COUNT
         self.total = 0.0
         self.num_pulls = 0
         self._segments: list[tuple[int, int, float, float | np.ndarray]] = []
@@ -332,8 +333,7 @@ class RegretLedger:
         value = min(max(value, 0.0), 2.0)  # keeps -0.0, as _validated does
         if count == 0:
             return
-        if self.trace_stride:
-            self._segments.append((self.num_pulls, count, self.total, value))
+        self._segments.append((self.num_pulls, count, self.total, value))
         self.total += value * count
         self.num_pulls += count
 
@@ -365,15 +365,12 @@ class RegretLedger:
         else:
             for column in regrets.T:
                 run.periodic(column, repeat)
-        if self.trace_stride:
-            self._segments.append((self.num_pulls, count, self.total, run.picked))
+        self._segments.append((self.num_pulls, count, self.total, run.picked))
         self.total += run.carry
         self.num_pulls += count
 
     def trace_size(self) -> int:
         """How many points ``trace()`` holds, counted without building them."""
-        if self.trace_stride == 0:
-            return min(self.num_pulls, 1)
         return -(-self.num_pulls // self.trace_stride)  # ceil(num_pulls / stride)
 
     def trace_grid(self) -> np.ndarray:
@@ -394,7 +391,7 @@ class RegretLedger:
         """
         stride, ts = self.trace_stride, self.trace_grid()
         cums = np.empty(ts.size)
-        for pulls, count, total, value in self._segments:  # none at stride 0
+        for pulls, count, total, value in self._segments:
             a, b = pulls // stride, (pulls + count) // stride
             if isinstance(value, np.ndarray):
                 np.add(total, value, out=cums[a:b])
@@ -406,7 +403,8 @@ class RegretLedger:
 
 class _StepMajorSum:
     """The running sum of one ``record_interleaved`` call, from 0.0, and the
-    partial sums it picks at the trace checkpoints.
+    partial sums it picks at the trace checkpoints.  Stride 0 arrives as
+    ``MAX_COUNT``, a stride no run passes, and takes the same path.
 
     ``serial`` cumulates columns in chunks of about ``INTERLEAVED_CHUNK``
     entries; each chunk's cumsum starts from the previous chunk's last
@@ -439,8 +437,8 @@ class _StepMajorSum:
 
     def __init__(self, num_tasks: int, base: int, stride: int, count: int):
         self.num_tasks = num_tasks
-        self.base, self.stride = base, stride  # pulls before the call; 0: no trace
-        self.picked = np.empty(self._points(count) if stride else 0)
+        self.base, self.stride = base, stride  # pulls before the call
+        self.picked = np.empty(self._points(count))
         self.carry = 0.0
         self.done = 0  # entries of the call's sequence summed so far
         rows = min(count // num_tasks, max(1, INTERLEAVED_CHUNK // num_tasks))  # steps per chunk
@@ -466,10 +464,9 @@ class _StepMajorSum:
             buf[1:].reshape(last - first, num_tasks)[:] = columns[:, first:last].T
             buf[0] = self.carry
             cums = np.cumsum(buf, out=buf)[1:]
-            if self.stride:
-                a, b = self._points(self.done), self._points(self.done + size)
-                start = self._offset(a) - self.done
-                self.picked[a:b] = cums[start :: self.stride][: b - a]
+            a, b = self._points(self.done), self._points(self.done + size)
+            start = self._offset(a) - self.done
+            self.picked[a:b] = cums[start :: self.stride][: b - a]
             self.carry = float(cums[-1])
             self.done += size
 
@@ -506,18 +503,17 @@ class _StepMajorSum:
         at a time."""
         num_tasks, period = self.num_tasks, int(prefix[-1])
         end = self.done + periods * num_tasks
-        if self.stride:
-            a, b = self._points(self.done), self._points(end)
-            for lo in range(a, b, INTERLEAVED_CHUNK):
-                hi = min(lo + INTERLEAVED_CHUNK, b)
-                sums = np.arange(lo, hi, dtype=np.int64)  # becomes the partial sums in ulps
-                sums *= self.stride
-                sums += self._offset(0) - self.done  # the checkpoints' entries in the jump
-                entry = sums % num_tasks
-                sums //= num_tasks  # the period
-                sums *= period
-                sums += prefix[entry]
-                sums += at
-                np.multiply(sums, unit, out=self.picked[lo:hi])  # exact: at most 2**53 ulps
+        a, b = self._points(self.done), self._points(end)
+        for lo in range(a, b, INTERLEAVED_CHUNK):
+            hi = min(lo + INTERLEAVED_CHUNK, b)
+            sums = np.arange(lo, hi, dtype=np.int64)  # becomes the partial sums in ulps
+            sums *= self.stride
+            sums += self._offset(0) - self.done  # the checkpoints' entries in the jump
+            entry = sums % num_tasks
+            sums //= num_tasks  # the period
+            sums *= period
+            sums += prefix[entry]
+            sums += at
+            np.multiply(sums, unit, out=self.picked[lo:hi])  # exact: at most 2**53 ulps
         self.carry = float(at + periods * period) * unit
         self.done = end

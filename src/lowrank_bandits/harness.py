@@ -325,7 +325,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[Path
             out_dir.mkdir(parents=True, exist_ok=True)
             jobs = _record_jobs(out_dir, "", records)
             jobs.append((out_dir / "summary.json", _summary_json_text, (config, records)))
-            written = _write_files(jobs)
+            written = _write_files(run_all, jobs)
     return records, written
 
 
@@ -405,7 +405,7 @@ def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
                 )
 
     files = 0 if anchor.out_dir is None else 1 + sum(map(_record_file_count, configs))
-    with _pool(_worker_count(max(anchor.num_seeds, files))):
+    with _pool(_worker_count(max(anchor.num_seeds, files))) as run_all:
         all_records = [run_experiment(replace(cfg, out_dir=None))[0] for cfg in configs]
         summaries = [summarize(records) for records in all_records]
 
@@ -447,7 +447,7 @@ def compare(configs: list[ExperimentConfig]) -> tuple[dict, list[Path]]:
             jobs = [(out / "comparison.json", _json_text, (table,))]
             for idx, (cfg, records) in enumerate(zip(configs, all_records)):
                 jobs += _record_jobs(out, f"_{idx}_{cfg.algorithm}", records)
-            written = _write_files(jobs)
+            written = _write_files(run_all, jobs)
     return table, written
 
 
@@ -510,15 +510,14 @@ def _write_job(job: WriteJob) -> Path | OSError | MemoryError:
     return path
 
 
-def _write_files(jobs: list[WriteJob]) -> list[Path]:
-    """Run every write job, one file each, on up to one process per file.
+def _write_files(run_all, jobs: list[WriteJob]) -> list[Path]:
+    """Run every write job, one file each, on the caller's pool map ``run_all``.
 
     Every job runs even when a write fails, so the files a failed run leaves
     do not depend on the worker count; the first error in job order is
     raised after.  The paths come back in job order.
     """
-    with _pool(_worker_count(len(jobs))) as run_all:
-        results = list(run_all(_write_job, jobs))
+    results = list(run_all(_write_job, jobs))
     for result in results:
         if isinstance(result, Exception):
             raise result

@@ -105,6 +105,34 @@ def test_config_value_exits_0_or_2_with_one_json_line(tmp_path, monkeypatch, cap
     assert_exit_contract(code, capsys.readouterr().err, tmp_path, config)
 
 
+# SHAPE has one seed and at most four files, so the worker count is capped at
+# four processes whatever the variable says, 2**63 included.
+WORKER_VALUES = [*EDGES[int], *EDGES[str], "x", " 2 ", "2.0"]
+
+
+def output_files(out_dir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("value", WORKER_VALUES)
+@pytest.mark.parametrize("name", ["mtrl", "lll-pure", "compare"])
+def test_worker_count_edge_exits_0_or_2_with_one_json_line(tmp_path, monkeypatch, capsys, name, value):
+    """Exit 0 with the files of one worker, or exit 2 naming the variable."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    assert cli.main(command_args(name, {**SHAPE, "--out-dir": "one"})) == 0
+    capsys.readouterr()
+    monkeypatch.setenv(WORKERS_ENV_VAR, value)
+    code = cli.main(command_args(name, SHAPE))
+    err = capsys.readouterr().err
+    assert_exit_contract(code, err, tmp_path)
+    if code == 0:
+        assert output_files(tmp_path / "out") == output_files(tmp_path / "one")
+    else:
+        assert WORKERS_ENV_VAR in json.loads(err)["message"]
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("name", ["mtrl", "compare"])
 def test_empty_out_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, name, source):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -23,8 +24,10 @@ from lowrank_bandits.env import (
     pull_block_mean,
     pull_many,
 )
-from lowrank_bandits.errors import ConfigError, InfeasibleActionError
+from lowrank_bandits.errors import MAX_COUNT, ConfigError, InfeasibleActionError
+from lowrank_bandits.lll import run_lll
 from lowrank_bandits.linalg import kth_singular_value, subspace_distance
+from lowrank_bandits.mtrl import run_mtrl
 
 
 def small_instance(noise_std=1.0, seed=0, **overrides):
@@ -529,6 +532,84 @@ class TestTraceSegments:
         assert np.array_equal(got_t, ts)
         assert np.array_equal(got_c, cums)
         assert np.array_equal(ledger.trace_grid(), ts) and ledger.trace_size() == ts.size
+
+    # Records as (kind, payload): a block is (value, count); a matrix is
+    # (regrets, repeat), repeat 1 taking the serial path and more the periodic.
+    TIED_COLUMN = np.array([[0.25 + 2.0**-53], [0.125 + 3 * 2.0**-53], [0.5]])
+    PAST_THE_RUN = {
+        "blocks": [("block", (0.3, 7)), ("block", (0.1 + 0.2, 10)), ("block", (1.9, 1003))],
+        # more entries than one chunk holds
+        "serial_matrix": [
+            ("matrix", (np.random.default_rng(3).uniform(0, 2, (3, INTERLEAVED_CHUNK // 3 + 5)), 1)),
+        ],
+        # odd multiples of 2**-53 tie once the sum passes 1, and 1,000 steps
+        # carry it through ten binades
+        "periodic_tie_and_binades": [("matrix", (TIED_COLUMN, 1000))],
+        "mix": [
+            ("block", (0.7, 0)),
+            ("block", (0.45, 4)),
+            ("matrix", (np.random.default_rng(4).uniform(0, 2, size=(3, 9)), 1)),
+            ("matrix", (np.zeros((3, 0)), 1)),
+            ("matrix", (TIED_COLUMN, 0)),
+            ("matrix", (TIED_COLUMN, 700)),
+            ("block", (1e-300, 26)),
+            ("matrix", (np.random.default_rng(5).uniform(0, 2, size=(3, 2)), 3)),
+        ],
+    }
+
+    @staticmethod
+    def record(ledger, records):
+        for kind, payload in records:
+            if kind == "block":
+                ledger.record_block(*payload)
+            else:
+                ledger.record_interleaved(*payload)
+        return ledger
+
+    @pytest.mark.parametrize("past", [1, 2**40, MAX_COUNT - 1])
+    @pytest.mark.parametrize("name", sorted(PAST_THE_RUN))
+    def test_stride_zero_is_a_stride_past_the_run(self, name, past):
+        records = self.PAST_THE_RUN[name]
+        zero = self.record(RegretLedger(3, 0), records)
+        stride = min(zero.num_pulls + past, MAX_COUNT - 1)
+        beyond = self.record(RegretLedger(3, stride), records)
+        assert beyond.trace_stride > beyond.num_pulls == zero.num_pulls > 0
+        assert zero.total.hex() == beyond.total.hex()
+        (t0, c0), (ts, cs) = zero.trace(), beyond.trace()
+        assert t0.dtype == ts.dtype and t0.tobytes() == ts.tobytes()
+        assert c0.tobytes() == cs.tobytes()
+        assert t0.tolist() == [zero.num_pulls]
+        assert c0.tobytes() == np.array([zero.total]).tobytes()
+        assert zero.trace_size() == beyond.trace_size() == 1
+
+    def test_stride_zero_at_the_largest_pull_count(self):
+        # the one run whose last pull is a checkpoint of stride 0's fixed stride
+        ledger = RegretLedger(3, 0)
+        ledger.record_block(0.5, MAX_COUNT)
+        ts, cums = ledger.trace()
+        assert ts.tolist() == [MAX_COUNT] and ledger.trace_size() == 1
+        assert cums.tobytes() == np.array([ledger.total]).tobytes()
+        assert ledger.total == 0.5 * MAX_COUNT
+
+    @pytest.mark.parametrize("runner", ["mtrl", "lll_regret", "lll_pure_exploration"])
+    def test_stride_zero_runs_match_a_stride_past_the_run(self, runner):
+        instance = small_instance(num_tasks=6, horizon=3000, seed=21)
+        if runner == "mtrl":
+            run = functools.partial(run_mtrl, instance)
+        elif runner == "lll_regret":
+            run = functools.partial(run_lll, instance, mode="regret")
+        else:
+            run = functools.partial(run_lll, instance, mode="pure_exploration", epsilon=0.3)
+        zero, _ = run(np.random.default_rng(22), trace_stride=0)
+        # M·T + 1 but in pure-exploration mode, whose pulls the horizon does not bound
+        beyond, _ = run(np.random.default_rng(22), trace_stride=zero.num_pulls + 1)
+        assert zero.num_pulls == beyond.num_pulls > 0
+        if runner != "lll_pure_exploration":
+            assert zero.num_pulls == instance.num_tasks * instance.horizon
+        assert zero.total.hex() == beyond.total.hex()
+        (t0, c0), (ts, cs) = zero.trace(), beyond.trace()
+        assert t0.tobytes() == ts.tobytes() and c0.tobytes() == cs.tobytes()
+        assert t0.tolist() == [zero.num_pulls]
 
     def test_grid_placement(self):
         ledger = RegretLedger(1, trace_stride=10)

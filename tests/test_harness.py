@@ -233,21 +233,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
             harness._worker_count(limit=20)
 
-    def test_files_go_to_one_worker_each_up_to_the_worker_count(self, tmp_path, monkeypatch):
+    def test_files_outnumbering_the_seeds_size_the_one_pool(self, tmp_path, monkeypatch):
+        # one seed, two files: the pool that runs the replicate writes them too
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        pools = []
-        real_pool = harness._pool
-
-        def pool(workers):
-            pools.append(workers)
-            return real_pool(workers)
-
-        monkeypatch.setattr(harness, "_pool", pool)
-        for count in (1, 2, 3, 5):
-            jobs = [(tmp_path / f"f{count}_{i}", str, (i,)) for i in range(count)]
-            assert harness._write_files(jobs) == [job[0] for job in jobs]
-            assert [p.read_text() for p, _, _ in jobs] == [str(i) for i in range(count)]
-        assert pools == [1, 2, 3, 3]
+        created = count_pools(monkeypatch)
+        _, written = run_experiment(small_config(num_seeds=1, out_dir=str(tmp_path / "run")))
+        assert [p.name for p in written] == ["curves.csv", "summary.json"]
+        assert created == [max(1, 2)]
+        assert multiprocessing.active_children() == []
 
     def test_one_pool_runs_the_replicates_and_writes_the_files(self, tmp_path, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
