@@ -6,7 +6,11 @@ of :func:`lowrank_bandits.mtrl.run_mtrl` and swaps only the Stage-1 subspace
 estimator, so a common seed attributes any regret difference to it.  Its
 Stage 1 streams as mtrl's does: each task's batch is added to one
 ``SquaredCovarianceSum`` and dropped, in the order of the pooled einsum that
-the estimator is defined by, so the basis keeps that einsum's bits.  The
+the estimator is defined by, so the basis keeps that einsum's bits.  Each
+chunk of rows takes two passes, one forming the products and one einsum
+weighting each row by ``r^2`` and adding it to the running total; the bits
+hold wherever numpy's einsum rounds each product before its add, as on
+x86-64.  The
 independent baseline's Stage 1 is mtrl's, with ``moment_estimate_theta`` as
 each task's column.
 """
@@ -30,49 +34,64 @@ from .mtrl import (
 )
 
 
-# Rows of outer products are formed CHUNK_ENTRIES (1 MiB) at a time, for
-# column tiles of at most TILE_COLUMNS columns of the lower triangle.
+# A chunk holds CHUNK_ENTRIES (1 MiB) entries: a tile's running total and its
+# products for as many rows as fit.  A tile is at most TILE_COLUMNS columns of
+# the lower triangle.
 CHUNK_ENTRIES = 2**17
-TILE_COLUMNS = 16
+TILE_COLUMNS = 8
 
 
 class SquaredCovarianceSum:
     """Running ``sum_t (a_t a_t^T) r_t^2`` over the batches added, one task at a time.
 
     Each entry is one sequential chain over the rows, in the order they are
-    added.  A chunk of rows' products ``(a_d a_e) r^2`` is formed in a reused
-    buffer, the running total is added into its first row, and
-    ``np.add.reduce`` along the rows adds the rest one after another.  Only
-    the lower triangle is summed, in tiles of columns: entry ``(d, e)``
-    equals ``(e, d)`` bit for bit, so the old ``(w + w.T) / 2`` step changed
-    nothing, and ``np.linalg.eigh`` reads the lower triangle alone.  Memory
-    is the ``(dim, dim)`` total and one chunk.
+    added: ``s = s + fl(a_d a_e) * r^2``.  Only the lower triangle is
+    summed, in Fortran order so that its columns are contiguous, in tiles of
+    ``TILE_COLUMNS`` columns: ``tile[j, i]`` is entry ``(first + i, first +
+    j)``.  ``a_e a_d`` equals ``a_d a_e`` bit for bit, so the old ``(w +
+    w.T) / 2`` step changed nothing, and ``np.linalg.eigh`` reads the lower
+    triangle alone.
+
+    Each chunk of rows takes two passes.  One einsum writes the rows'
+    products after a first row that holds the tile's running total; then
+    ``einsum("tji,t->ji", chunk, [1.0, r^2...], out=tile)`` zeroes the tile
+    and adds each weighted row in turn.  ``0.0 + total * 1.0`` is the total,
+    which is never ``-0.0`` (it starts at ``+0.0``, and ``+0.0 + -0.0`` is
+    ``+0.0``).  The chain holds only where numpy's einsum
+    rounds each product before its add, as x86-64 builds do (their baseline
+    has no FMA); ``TestSquaredCovarianceSum.test_lower_entries_are_the_python_chain``
+    compares every entry with the chain in Python floats and fails on a
+    build that fuses the two.  Memory is the ``(dim, dim)`` total and one
+    chunk with its weights.
     """
 
     def __init__(self, dim: int):
         self.count = 0
-        self.lower = np.zeros((dim, dim))  # the sum's lower triangle; above it, zeros or mirrors
-        self._buffer = np.empty(max(CHUNK_ENTRIES, dim * TILE_COLUMNS))
+        self.lower = np.zeros((dim, dim), order="F")  # the sum's lower triangle; above it, zeros or mirrors
+        self._buffer = np.empty(max(CHUNK_ENTRIES, 2 * dim * TILE_COLUMNS))
 
     def add(self, actions: np.ndarray, rewards: np.ndarray) -> None:
         """Add one task's ``(n, dim)`` actions and ``(n,)`` rewards."""
-        squared = rewards**2
-        for first in range(0, len(self.lower), TILE_COLUMNS):
+        columns = self.lower.T  # the lower triangle's columns, as C-ordered rows
+        for first in range(0, len(columns), TILE_COLUMNS):
             stop = first + TILE_COLUMNS
-            tile = self.lower[first:, first:stop]
-            rows = max(1, CHUNK_ENTRIES // tile.size)
+            tile = columns[first:stop, first:]
+            rows = max(1, CHUNK_ENTRIES // tile.size - 1)
             for start in range(0, len(actions), rows):
                 acts = actions[start:start + rows]
-                chunk = self._buffer[: len(acts) * tile.size].reshape(len(acts), *tile.shape)
-                np.einsum("ti,tj->tij", acts[:, first:], acts[:, first:stop], out=chunk)
-                chunk *= squared[start:start + rows, None, None]
-                chunk[0] += tile
-                # A one-entry tile (dim % 16 == 1): add.reduce would sum its
-                # lone axis pairwise, not in order.
+                chunk = self._buffer[: (len(acts) + 1) * tile.size].reshape(-1, *tile.shape)
+                chunk[0] = tile
+                np.einsum("tj,ti->tji", acts[:, first:stop], acts[:, first:], out=chunk[1:])
+                weights = np.empty(len(acts) + 1)
+                weights[0] = 1.0
+                np.square(rewards[start:start + rows], out=weights[1:])
+                # A one-entry tile (dim % TILE_COLUMNS == 1): einsum would reduce
+                # its lone axis with a vectorised kernel that adds out of order.
                 if tile.size == 1:
+                    chunk *= weights[:, None, None]
                     tile[...] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
                 else:
-                    np.add.reduce(chunk, axis=0, out=tile)
+                    np.einsum("tji,t->ji", chunk, weights, out=tile)
         self.count += len(actions)
 
     def top_eigenvectors(self, rep_dim: int) -> np.ndarray:

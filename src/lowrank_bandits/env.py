@@ -393,6 +393,8 @@ class RegretLedger:
         cums = np.empty(ts.size)
         for pulls, count, total, value in self._segments:
             a, b = pulls // stride, (pulls + count) // stride
+            if a == b:  # no checkpoint in this segment
+                continue
             if isinstance(value, np.ndarray):
                 np.add(total, value, out=cums[a:b])
             else:

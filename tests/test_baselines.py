@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,12 +123,22 @@ class TestSquaredCovarianceSum:
             (3, 7, 4, 2),
             (6, 1, 5, 2),  # one-step tasks
             (4, 2000, 1, 1),  # d = 1: 8,000 terms, within one einsum buffer
-            (2, 300, 17, 3),  # two tiles, of 16 columns and of one entry
-            # d = 50: tiles of 16, 16, 16 and 2 columns, whose chunks hold 163,
-            # 240, 455 and 32,768 rows, so 700 rows end in a partial chunk of each
+            (2, 300, 17, 3),  # tiles of 8, 8 and 1 columns, the last one entry
+            # d = 50: six tiles of 8 columns and a 2 x 2 one, whose chunks hold
+            # 326, 389, 480, 629, 909, 1,637 and 32,767 rows after the running
+            # total, so 700 rows end part way through a chunk of each
             (3, 700, 50, 5),
-            (20, 448, 10, 2),  # a single 10-column tile; 448 rows in one chunk
-            (2, 2 * (CHUNK_ENTRIES // 100) + 3, 10, 2),  # two full chunks and 3 rows
+            (20, 448, 10, 2),  # tiles of 8 and 2 columns; 448 rows in one chunk
+            (2, 2 * (CHUNK_ENTRIES // 80 - 1) + 3, 10, 2),  # two full chunks and 3 rows
+            # each boundary of the tiling: one full tile (8), a full tile and a
+            # 1 x 1 one (9), two and three full tiles (16, 24), six full tiles
+            # and a 1 x 1 one (49), and a partial 3-column tile (51)
+            (2, 700, 8, 2),
+            (2, 700, 9, 2),
+            (2, 700, 16, 3),
+            (2, 700, 24, 3),
+            (2, 700, 49, 5),
+            (2, 700, 51, 5),
         ],
     )
     def test_equals_the_pooled_einsum(self, num_tasks, n, dim, rep_dim):
@@ -157,6 +168,39 @@ class TestSquaredCovarianceSum:
         assert total.lower[0, 0] == chain
         basis = e2tc_squared_estimator(actions, rewards, 1, 1)
         assert np.array_equal(basis, pooled_einsum_basis(actions, rewards, 1))
+
+    @pytest.mark.parametrize("dim", [2, 9, 17])
+    def test_lower_entries_are_the_python_chain(self, dim):
+        # The chain the stream is defined by, in Python floats, so it does not
+        # depend on numpy's einsum: a build whose einsum fuses the multiply
+        # and the add (FMA) drops the product's rounding and fails here.
+        # numpy's ``r**2`` is ``r * r``; Python's ``r ** 2`` calls pow().
+        # At d = 17 the 1,200 rows cross a chunk of the first tile (962 rows).
+        actions, rewards = sphere_batches(2, 1200, dim, seed=dim)
+        rewards[1, :5] = -0.0
+        total = SquaredCovarianceSum(dim)
+        total.add(actions[0, :5], rewards[0, :5])
+        total.add(actions[1], rewards[1])
+        rows = np.concatenate([actions[0, :5], actions[1]]).tolist()
+        squares = [r * r for r in np.concatenate([rewards[0, :5], rewards[1]]).tolist()]
+        for i in range(dim):
+            for j in range(i + 1):
+                chain = 0.0
+                for a, square in zip(rows, squares):
+                    chain = chain + (a[i] * a[j]) * square
+                assert total.lower[i, j] == chain, (i, j)
+
+    def test_memory_is_one_chunk_not_the_batch(self):
+        # One chunk (1 MiB) and its weights peak near 1.2 MiB.  The products of
+        # the batch's 20,000 rows would take 8 MB for one column alone.
+        actions, rewards = sphere_batches(1, 20_000, 50, seed=5)
+        tracemalloc.start()
+        try:
+            SquaredCovarianceSum(50).add(actions[0], rewards[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestRunE2tc:
