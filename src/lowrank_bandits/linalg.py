@@ -8,8 +8,8 @@ matrix with orthonormal columns.  A basis with zero columns, shape
 All functions are pure: randomness enters only through an explicitly
 passed ``numpy.random.Generator``, so concurrent use on distinct
 generators is safe.  ``sample_unit_sphere_many`` normalizes its fresh draw
-in place, and ``least_squares_on_subspace`` solves a stack of reward rows
-that share one design with one factorization.
+in place, and ``least_squares_on_subspace`` factors a design once and
+returns the solve for one reward vector.
 
 The kernels do not check their arguments; each guarantee comes from one
 place upstream.  ``InstanceSpec.validate`` bounds the counts and the SVD rank
@@ -27,6 +27,8 @@ Tolerances are fixed for 64-bit floats: 1e-8 for orthonormality checks,
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -129,23 +131,19 @@ def project_orthogonal_complement(basis: np.ndarray, vec: np.ndarray) -> np.ndar
 
 
 def least_squares_on_subspace(
-    actions: np.ndarray, rewards: np.ndarray, basis_hat: np.ndarray
-) -> np.ndarray:
-    """Coordinates w minimizing sum_t (<a_t, B_hat w> - r_t)^2.
+    actions: np.ndarray, basis_hat: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``solve`` mapping ``(n,)`` rewards to the w minimizing sum_t (<a_t, B_hat w> - r_t)^2.
 
-    Solved through the SVD of the reduced design ``[B_hat.T a_t]_t`` rather
-    than the normal equations.  A rank-deficient design is a hard error:
+    Factors the SVD of the reduced design ``[B_hat.T a_t]_t`` once, rather
+    than the normal equations; each ``solve`` is two matrix-vector products.
+    A rank-deficient design is a hard error, raised before any rewards exist:
     the callers construct orthonormal designs, so deficiency signals a bug
     rather than something to regularize away.
-
-    ``rewards`` is one ``(n,)`` vector, or a ``(num_problems, n)`` stack of
-    reward rows sharing the design, which is then factored once; the result
-    is ``(width,)``, or ``(width, num_problems)`` with one column per row,
-    each the bits of a one-row call.
     """
     width = basis_hat.shape[1]
     if width == 0:
-        return np.zeros((0, *rewards.shape[:-1]))
+        return lambda rewards: np.zeros(0)
     if actions.shape[0] < width:
         raise SingularDesignError(
             f"need at least {width} observations, got {actions.shape[0]}"
@@ -154,11 +152,7 @@ def least_squares_on_subspace(
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] <= DESIGN_RCOND * max(s[0], 1.0):
         raise SingularDesignError("design matrix is rank deficient")
-    rows = np.atleast_2d(rewards)
-    weights = np.empty((width, rows.shape[0]))
-    for j, row in enumerate(rows):  # one GEMM over all rows would round differently
-        weights[:, j] = vt.T @ ((u.T @ row) / s)
-    return weights[:, 0] if rewards.ndim == 1 else weights
+    return lambda rewards: vt.T @ ((u.T @ rewards) / s)
 
 
 def argmax_unit_ball(theta: np.ndarray) -> np.ndarray:

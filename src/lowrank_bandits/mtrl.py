@@ -9,9 +9,10 @@ helper, ``_stage1_theta_hat``, fills that matrix column by column while
 calls it too, and e2tc streams the same batches into its squared-covariance
 sum.  Stage 2 plays each estimated basis column for a fixed block per task and
 solves a least-squares problem for the low-dimensional weights; every task
-plays the same design, so it is factored once.  Stage 3 commits to the greedy
-unit-ball action for the rest of the horizon.  Each batch is one pass: the
-oracle evaluates it once, for its rewards and its regrets.
+plays the same design, so it is factored once and each task is solved as it
+is pulled.  Stage 3 commits to the greedy unit-ball action for the rest of
+the horizon.  Each batch is one pass: the oracle evaluates it once, for its
+rewards and its regrets.
 
 The three-stage skeleton, ``_run_three_stage``, is shared with the
 squared-covariance variant in :mod:`lowrank_bandits.baselines`; only the
@@ -161,20 +162,21 @@ def stage2_per_task(
 ) -> np.ndarray:
     """Stage 2: play each basis column ``block`` times per task, solve least squares.
 
-    Every task plays the same actions, so one call solves all tasks' least
-    squares and factors their shared design once.  Returns the ``(width,
-    num_tasks)`` weight estimates and records ``num_tasks * width * block``
-    pulls.
+    Every task plays the same actions, so their shared design is factored
+    once, before any pull, and each task's weights are solved as soon as its
+    rewards are drawn.  Returns the ``(width, num_tasks)`` weight estimates and
+    records ``num_tasks * width * block`` pulls.  A singular design raises
+    before the first draw, leaving the ledger and ``rng`` as Stage 1 left them.
     """
     width = basis_hat.shape[1]
     actions = np.repeat(basis_hat.T, block, axis=0)  # column i for block steps, in order
-    num_tasks = instance.num_tasks
-    rewards = np.empty((num_tasks, width * block))
-    regrets = np.empty((num_tasks, width * block))
-    for task in range(num_tasks):
-        rewards[task] = pull_many(instance, task, actions, rng, regrets=regrets[task])
+    solve = least_squares_on_subspace(actions, basis_hat)
+    weights = np.empty((width, instance.num_tasks))
+    regrets = np.empty((instance.num_tasks, width * block))
+    for task, row in enumerate(regrets):
+        weights[:, task] = solve(pull_many(instance, task, actions, rng, regrets=row))
     ledger.record_interleaved(regrets)
-    return least_squares_on_subspace(actions, rewards, basis_hat)
+    return weights
 
 
 def stage3_commit(

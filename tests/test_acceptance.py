@@ -89,7 +89,7 @@ def test_criterion_1_kernel_oracles():
         basis = top_k_left_singular_vectors(rng.standard_normal((d, d)), k)
         actions = rng.standard_normal((n, d)) / np.sqrt(d)
         rewards = rng.standard_normal(n)
-        w = least_squares_on_subspace(actions, rewards, basis)
+        w = least_squares_on_subspace(actions, basis)(rewards)
         oracle = np.linalg.pinv(actions @ basis) @ rewards
         worst_ls = max(worst_ls, float(np.max(np.abs(w - oracle))))
     # greedy unit-ball action vs a 1e5-point sphere-grid brute force in 3d

@@ -187,6 +187,19 @@ def test_largest_accepted_task_count_exits_2():
     assert_config_error(done, f"num_tasks: {MAX_COUNT} task weights do not fit in one array")
 
 
+def test_task_weights_past_memory_exit_2():
+    # M * d at its edge: generate_instance's (d, M) task weights, the first
+    # array that grows with M * d, take 4.5 GB, past run_limited's 4 GiB.
+    done = run_limited(["mtrl", "--d", "2000", "--k", "1", "--M", "300000", "--T", "300", "--seeds", "1"])
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "MemoryError"
+    assert "shape (2000, 300000)" in error["message"]
+
+
 def test_largest_accepted_dimension_exits_2():
     # --d 2**63 - 1 passes validation; its (d, d) Gaussian draw fits in no array.
     done = run_limited(["mtrl", "--d", str(MAX_COUNT), "--k", "1", "--M", "2", "--T", "300", "--seeds", "1"])

@@ -211,7 +211,7 @@ class TestLeastSquaresOnSubspace:
         basis = top_k_left_singular_vectors(rng.standard_normal((6, 4)), 3)
         theta = rng.standard_normal(6)
         rewards = basis.T @ theta  # one pull per column
-        w = least_squares_on_subspace(basis.T.copy(), rewards, basis)
+        w = least_squares_on_subspace(basis.T.copy(), basis)(rewards)
         assert np.max(np.abs(w - basis.T @ theta)) <= 1e-10
 
     def test_duplicated_columns_average(self):
@@ -219,7 +219,7 @@ class TestLeastSquaresOnSubspace:
         basis = np.eye(4)[:, :2]
         actions = np.array([basis[:, 0], basis[:, 0], basis[:, 1], basis[:, 1]])
         rewards = np.array([1.0, 3.0, -2.0, 6.0])
-        w = least_squares_on_subspace(actions, rewards, basis)
+        w = least_squares_on_subspace(actions, basis)(rewards)
         assert np.allclose(w, [2.0, 2.0], atol=1e-12)
 
     def test_matches_pseudo_inverse_oracle(self):
@@ -227,37 +227,38 @@ class TestLeastSquaresOnSubspace:
         basis = top_k_left_singular_vectors(rng.standard_normal((5, 4)), 3)
         actions = rng.standard_normal((12, 5)) / np.sqrt(5)
         rewards = rng.standard_normal(12)
-        w = least_squares_on_subspace(actions, rewards, basis)
+        w = least_squares_on_subspace(actions, basis)(rewards)
         oracle = np.linalg.pinv(actions @ basis) @ rewards
         assert np.max(np.abs(w - oracle)) <= 1e-8
 
     def test_rank_deficient_design_raises(self):
         basis = np.eye(3)[:, :2]
         actions = np.array([[1.0, 0.0, 0.0]] * 4)  # never touches the second column
-        with pytest.raises(SingularDesignError):
-            least_squares_on_subspace(actions, np.ones(4), basis)
+        with pytest.raises(SingularDesignError):  # at factor time, before any rewards
+            least_squares_on_subspace(actions, basis)
 
     def test_too_few_observations(self):
         basis = np.eye(3)[:, :2]
         with pytest.raises(SingularDesignError):
-            least_squares_on_subspace(np.eye(3)[:1], np.ones(1), basis)
+            least_squares_on_subspace(np.eye(3)[:1], basis)
 
-    def test_stacked_rewards_solve_each_row_bit_for_bit(self):
+    def test_one_factorization_solves_each_row_bit_for_bit(self):
         rng = np.random.default_rng(14)
         basis = top_k_left_singular_vectors(rng.standard_normal((10, 4)), 2)
         actions = np.repeat(basis.T, 50, axis=0)
         rewards = rng.standard_normal((7, 100))
-        stacked = least_squares_on_subspace(actions, rewards, basis)
-        assert stacked.shape == (2, 7)
+        solve = least_squares_on_subspace(actions, basis)
         u, s, vt = np.linalg.svd(actions @ basis, full_matrices=False)
-        for j, row in enumerate(rewards):
-            single = least_squares_on_subspace(actions, row.copy(), basis)
-            assert single.tobytes() == (vt.T @ ((u.T @ row) / s)).tobytes()
-            assert stacked[:, j].tobytes() == single.tobytes()
+        for row in rewards:
+            shared = solve(row)
+            assert shared.shape == (2,)
+            assert shared.tobytes() == (vt.T @ ((u.T @ row) / s)).tobytes()
+            fresh = least_squares_on_subspace(actions, basis)(row.copy())
+            assert shared.tobytes() == fresh.tobytes()
 
-    def test_empty_basis_gives_one_empty_column_per_row(self):
-        solved = least_squares_on_subspace(np.eye(3), np.ones((4, 3)), np.zeros((3, 0)))
-        assert solved.shape == (0, 4)
+    def test_empty_basis_gives_an_empty_solution(self):
+        solve = least_squares_on_subspace(np.eye(3), np.zeros((3, 0)))
+        assert solve(np.ones(3)).shape == (0,)
 
 
 class TestArgmaxUnitBall:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lowrank_bandits import env, run_e2tc, run_independent_etc
 from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance
-from lowrank_bandits.errors import ConfigError, HorizonTooShortError
+from lowrank_bandits.errors import ConfigError, HorizonTooShortError, SingularDesignError
 from lowrank_bandits.linalg import subspace_distance, top_k_left_singular_vectors
 from lowrank_bandits.mtrl import (
     collect_stage1_samples,
@@ -138,6 +140,31 @@ class TestStage2:
         before = ledger.total
         stage3_commit(inst, inst.basis @ weights, 100, ledger)
         assert ledger.total - before <= 1e-9
+
+    def test_holds_one_regret_matrix(self):
+        # scale's shape: d=10, k=2, M=200, T=1e5, so block = ceil(sqrt(T)) = 317
+        inst = make_instance(num_tasks=200, horizon=100_000, seed=17)
+        block = 317
+        stage2_per_task(inst, inst.basis, block, np.random.default_rng(0), RegretLedger(200, 0))
+        tracemalloc.start()
+        try:
+            stage2_per_task(inst, inst.basis, block, np.random.default_rng(1), RegretLedger(200, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = inst.num_tasks * inst.rep_dim * block * 8  # the (M, k * block) regrets
+        assert peak < 2 * matrix  # a second (M, k * block) matrix would pass it
+
+    def test_singular_design_raises_before_any_draw(self):
+        inst = make_instance(seed=18)
+        column = inst.basis[:, :1]
+        ledger = RegretLedger(inst.num_tasks, 0)
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(SingularDesignError):
+            stage2_per_task(inst, np.hstack([column, column]), 6, rng, ledger)
+        assert ledger.num_pulls == 0
+        assert rng.bit_generator.state == state
 
 
 class TestOnePassPerBatch:
