@@ -11,14 +11,15 @@ carry no reward-noise variance.  ``RegretLedger`` alone decides a regret
 curve's points: each multiple of its stride below its pull count, then that count.
 
 Inputs are validated once, where they enter: ``InstanceSpec.validate`` checks
-an instance's parameters, ``_mean_rewards`` checks every oracle call's task
+an instance's parameters, ``_checked_actions`` checks every oracle call's task
 index, action dimension and unit ball (the one-action oracles first reject any
 shape but ``(dim,)`` in ``_one_action``), and ``RegretLedger``'s ``record_*``
 methods check the regret range and the count of every record.
 Everything between (the learners' loops, ``pull_block_mean``'s regret, the
 ``linalg`` kernels) reuses those checked values instead of checking them again.
 So a batch's rewards and regrets come from one checked evaluation of its
-means: ``pull_many`` writes the regrets into the row its caller passes.
+means: ``pull_many`` writes the regrets into the row its caller passes, and
+``pull_block_mean(..., rows=True)`` checks all of a task's blocks at once.
 """
 
 from __future__ import annotations
@@ -159,10 +160,10 @@ def generate_instance(
     return instance
 
 
-def _mean_rewards(
+def _checked_actions(
     instance: BanditInstance, task: int, actions: np.ndarray
 ) -> np.ndarray:
-    """``<a, theta_task>`` for one action (1-D) or rows of actions (2-D).
+    """``actions`` (one action, 1-D, or rows of actions, 2-D) as a float array.
 
     The one place where the task index, the action dimension and the unit
     ball are checked, so every oracle call is checked the same way.
@@ -179,7 +180,14 @@ def _mean_rewards(
     worst = math.sqrt(squared)  # inf when an entry's square overflows, NaN when one is NaN
     if not worst <= 1.0 + ACTION_NORM_ATOL:  # written so that NaN fails too
         raise InfeasibleActionError(f"action norm {worst} exceeds the unit ball")
-    return actions @ instance.thetas[:, task]
+    return actions
+
+
+def _mean_rewards(
+    instance: BanditInstance, task: int, actions: np.ndarray
+) -> np.ndarray:
+    """``<a, theta_task>`` for one checked action (1-D) or rows of actions (2-D)."""
+    return _checked_actions(instance, task, actions) @ instance.thetas[:, task]
 
 
 def pull_many(
@@ -212,7 +220,9 @@ def pull_block_mean(
     action: np.ndarray,
     count: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
+    *,
+    rows: bool = False,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """``(mean_reward, regret)`` of ``count`` consecutive pulls of one fixed action.
 
     The sample mean of ``count`` i.i.d. Gaussian rewards is itself Gaussian
@@ -221,12 +231,30 @@ def pull_block_mean(
     to averaging ``count`` individual pulls and keeps large exploration
     blocks cheap.  ``regret`` is the per-pull ``instant_regret`` of the
     action, bit for bit, taken from the same evaluation of the mean.
+
+    With ``rows=True``, ``action`` is a ``(w, dim)`` matrix whose rows are
+    ``w`` blocks: all rows are checked before the first draw, and the
+    ``(w,)`` arrays of mean rewards and regrets have the bits of ``w``
+    one-action calls in row order.  ``standard_normal(w)`` is the stream of
+    ``w`` scalar draws, and each mean is one ``(1, dim) @ (dim, 1)`` product
+    of a stack, which numpy's ``matmul`` evaluates with the dot kernel of a
+    one-action call; one ``(w, dim) @ (dim,)`` product would round
+    differently.  Without ``rows``, any shape but ``(dim,)`` raises.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    mean = float(_mean_rewards(instance, task, _one_action(action)))
-    scale = instance.noise_std / math.sqrt(count)
-    return mean + scale * float(rng.standard_normal()), _regret(mean)
+    if rows:
+        actions = np.ascontiguousarray(_checked_actions(instance, task, np.atleast_2d(action)))
+    else:
+        actions = _checked_actions(instance, task, _one_action(action))[None]
+    means = (actions[:, None, :] @ instance.thetas[:, task, None]).ravel()
+    rewards = rng.standard_normal(means.size)
+    rewards *= instance.noise_std / math.sqrt(count)
+    rewards += means
+    regrets = _regrets(means)
+    if rows:
+        return rewards, regrets
+    return float(rewards[0]), float(regrets[0])
 
 
 def _regret(mean: float) -> float:
@@ -235,9 +263,14 @@ def _regret(mean: float) -> float:
 
 
 def _regrets(means: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``_regret`` of every mean, written into ``out`` when it is given."""
+    """``_regret`` of every mean, written into ``out`` when it is given.
+
+    The two ufuncs select what ``np.clip`` would (``1 - mean`` is never -0.0
+    and checked means are never NaN) without its Python-level dispatch.
+    """
     out = np.subtract(1.0, means, out=out)
-    return np.clip(out, 0.0, 2.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 2.0, out=out)
 
 
 def instant_regret(instance: BanditInstance, task: int, action: np.ndarray) -> float:

@@ -22,12 +22,20 @@ before projecting.  Two checks stay, as nothing upstream stands in for them:
 ``least_squares_on_subspace``'s ``SingularDesignError`` (the SVD of a short
 design would return a minimum-norm answer instead of raising).
 
+``vector_norm`` is ``np.linalg.norm``'s arithmetic for one real vector,
+``sqrt(v.dot(v))`` on the vector raveled in memory order, bit for bit.  At
+the lifelong learner's small ``d`` the argument dispatch of
+``np.linalg.norm`` costs more than the arithmetic, and its 1-D norms (the
+sphere draw, the norm test, the greedy action, the basis extension) run once
+or more per task.
+
 Tolerances are fixed for 64-bit floats: 1e-8 for orthonormality checks,
 1e-10 for exact-case assertions, 1e-12 for normalization.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -63,6 +71,12 @@ def require_orthonormal(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def vector_norm(vec: np.ndarray) -> float:
+    """The Euclidean norm of a real 1-D vector: ``float(np.linalg.norm(vec))``, bit for bit."""
+    vec = vec.ravel(order="K")
+    return math.sqrt(vec.dot(vec))
+
+
 def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A point drawn uniformly from the unit sphere in ``dim`` dimensions.
 
@@ -72,10 +86,10 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
     if dim < 1:  # the retry loop below would never end
         raise ValueError(f"dim must be >= 1, got {dim}")
     vec = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(vec))
+    norm = vector_norm(vec)
     while norm < ZERO_NORM_ATOL:  # probability ~0; keeps the unit-norm contract exact
         vec = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(vec))
+        norm = vector_norm(vec)
     return vec / norm
 
 
@@ -163,7 +177,7 @@ def argmax_unit_ball(theta: np.ndarray) -> np.ndarray:
     numerically zero every unit vector ties; the first standard basis
     vector is returned as a fixed, reproducible convention.
     """
-    norm = float(np.linalg.norm(theta))
+    norm = vector_norm(theta)
     if norm <= ZERO_NORM_ATOL:
         out = np.zeros(theta.shape[0])
         out[0] = 1.0

@@ -47,6 +47,7 @@ from .linalg import (
     empty_basis,
     project_orthogonal_complement,
     require_orthonormal,
+    vector_norm,
 )
 
 MODES = ("pure_exploration", "regret")
@@ -146,18 +147,21 @@ def task_specific_exploration(
 
     Returns ``(theta_tilde, w_tilde)`` where ``w_tilde[j]`` is the mean
     reward of column ``j``'s block and ``theta_tilde = basis @ w_tilde``.
-    Records ``width * n1_per_column`` regret entries.  With an empty basis
-    the reconstruction is the zero vector and nothing is pulled.
+    Records ``width * n1_per_column`` regret entries, one block per column
+    in column order.  With an empty basis the reconstruction is the zero
+    vector and nothing is pulled.
 
-    ``basis`` must have orthonormal columns; it is not checked here.
-    ``run_lll`` passes the identity, or a basis that ``extend_basis`` built
-    from a checked one; the oracle still checks each column's unit ball.
+    All columns go to the oracle in one ``pull_block_mean`` call, as rows,
+    so they are checked once, before the first draw; each block keeps the
+    bits of a one-column call.  ``basis`` must have orthonormal columns; it
+    is not checked here.  ``run_lll`` passes the identity, or a basis that
+    ``extend_basis`` built from a checked one.
     """
-    width = basis.shape[1]
-    w_tilde = np.zeros(width)
-    for j in range(width):
-        w_tilde[j], regret = pull_block_mean(instance, task, basis[:, j], n1_per_column, rng)
-        ledger.record_block(regret, n1_per_column)
+    w_tilde = np.zeros(basis.shape[1])
+    if w_tilde.size:
+        w_tilde, regrets = pull_block_mean(instance, task, basis.T, n1_per_column, rng, rows=True)
+        for regret in regrets.tolist():
+            ledger.record_block(regret, n1_per_column)
     return basis @ w_tilde, w_tilde
 
 
@@ -167,7 +171,7 @@ def needs_reestimation(theta_tilde: np.ndarray, epsilon: float) -> bool:
     A short reconstruction means a direction relevant to this task is
     missing from the current span.
     """
-    return float(np.linalg.norm(theta_tilde)) <= 1.0 - epsilon
+    return vector_norm(theta_tilde) <= 1.0 - epsilon
 
 
 def reestimate_theta_coordinatewise(
@@ -198,7 +202,7 @@ def extend_basis(
     """
     basis = require_orthonormal(basis)
     residual = project_orthogonal_complement(basis, theta_hat)
-    norm = float(np.linalg.norm(residual))
+    norm = vector_norm(residual)
     if basis.shape[1] == basis.shape[0]:
         assert norm < FULL_BASIS_RESIDUAL_ATOL, (
             f"full basis has residual {norm}; orthogonality is broken"
@@ -208,7 +212,7 @@ def extend_basis(
         return basis, False
     # One re-orthogonalization pass keeps accumulated drift below tolerance.
     column = project_orthogonal_complement(basis, residual / norm)
-    column /= np.linalg.norm(column)
+    column /= vector_norm(column)
     return np.column_stack([basis, column]), True
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from lowrank_bandits import (
     InstanceSpec,
+    env,
     generate_instance,
     linalg,
     lll,
@@ -23,6 +24,7 @@ from lowrank_bandits.linalg import (
     sample_unit_sphere_many,
     subspace_distance,
     top_k_left_singular_vectors,
+    vector_norm,
 )
 
 
@@ -289,6 +291,37 @@ class TestArgmaxUnitBall:
             assert np.allclose(argmax_unit_ball(scale * theta), base, atol=1e-12)
 
 
+class TestVectorNorm:
+    """``vector_norm`` has ``float(np.linalg.norm(v))``'s bits for a real 1-D vector."""
+
+    @staticmethod
+    def assert_same_bits(vec):
+        with np.errstate(all="ignore"):  # both overflow, or take NaN, alike
+            assert vector_norm(vec).hex() == float(np.linalg.norm(vec)).hex()
+
+    @pytest.mark.parametrize("dim", range(1, 65))
+    def test_contiguous_and_strided(self, dim):
+        matrix = np.random.default_rng(dim).standard_normal((dim, 5))
+        for j in range(5):
+            self.assert_same_bits(matrix[:, j])  # a strided column view
+            self.assert_same_bits(matrix[:, j].copy())
+        self.assert_same_bits(np.zeros(dim))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-155, 1e155, 1e160])  # squares under- or overflow
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    def test_extreme_entries(self, dim, scale):
+        vec = scale * np.random.default_rng(dim).uniform(0.5, 2.0, dim)
+        self.assert_same_bits(vec)
+        self.assert_same_bits(np.column_stack([vec, vec])[:, 1])
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    def test_non_finite_entries(self, dim, entry):
+        vec = np.random.default_rng(dim).standard_normal(dim)
+        vec[dim // 2] = entry
+        self.assert_same_bits(vec)
+
+
 class TestKthSingularValue:
     def test_identity(self):
         assert kth_singular_value(np.eye(3), 3) == pytest.approx(1.0)
@@ -330,3 +363,33 @@ class TestValidationRunsOnce:
         _, state = run_lll(self.instance(), np.random.default_rng(1), **options)
         assert state.entered_stage2.sum() > 1
         assert len(checks) == state.entered_stage2.sum()
+
+
+class TestOracleCheckRunsOncePerExploration:
+    """``run_lll`` checks each exploration's columns in one oracle check, not one per column."""
+
+    @pytest.mark.parametrize("options", [
+        {"mode": "regret"},
+        {"mode": "pure_exploration", "epsilon": 0.3},
+    ])
+    def test_one_check_per_exploration_and_commit(self, monkeypatch, options):
+        checks, explorations = [], []
+        checked_actions, explore = env._checked_actions, lll.task_specific_exploration
+
+        def counting_check(instance, task, actions):
+            checks.append(np.shape(actions))
+            return checked_actions(instance, task, actions)
+
+        def counting_explore(instance, task, basis, *args):
+            explorations.append(basis.shape[1])
+            return explore(instance, task, basis, *args)
+
+        monkeypatch.setattr(env, "_checked_actions", counting_check)
+        monkeypatch.setattr(lll, "task_specific_exploration", counting_explore)
+        instance = TestValidationRunsOnce.instance()
+        run_lll(instance, np.random.default_rng(1), **options)
+        columns = sum(explorations)
+        nonempty = sum(width > 0 for width in explorations)
+        commits = instance.num_tasks if options["mode"] == "regret" else 0
+        assert columns > nonempty  # one check per column would be more
+        assert len(checks) == nonempty + commits

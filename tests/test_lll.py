@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance
-from lowrank_bandits.errors import ConfigError, HorizonTooShortError
+from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance, pull_block_mean
+from lowrank_bandits.errors import ConfigError, HorizonTooShortError, InfeasibleActionError
 from lowrank_bandits.linalg import empty_basis, is_orthonormal
 from lowrank_bandits.lll import (
     extend_basis,
@@ -100,6 +102,104 @@ class TestTaskSpecificExploration:
         )
         projection = partial @ (partial.T @ inst.thetas[:, 7])
         assert np.max(np.abs(theta_tilde - projection)) <= 1e-10
+
+
+def per_column_exploration(instance, task, basis, count, rng, ledger):
+    """The one-column-at-a-time loop that ``task_specific_exploration`` ran
+    before it made one oracle call per task, with ``pull_block_mean``'s
+    arithmetic for one action written out: ``(means, theta_tilde, w_tilde,
+    regrets)``."""
+    width = basis.shape[1]
+    means, regrets, w_tilde = np.zeros(width), np.zeros(width), np.zeros(width)
+    for j in range(width):
+        action = basis[:, j].copy()  # one contiguous action
+        mean = float(action @ instance.thetas[:, task])
+        scale = instance.noise_std / math.sqrt(count)
+        means[j] = mean
+        w_tilde[j] = mean + scale * float(rng.standard_normal())
+        regrets[j] = min(max(1.0 - mean, 0.0), 2.0)
+        ledger.record_block(regrets[j], count)
+    return means, basis @ w_tilde, w_tilde, regrets
+
+
+def exploration_bases(dim):
+    """Orthonormal bases of every width from 0 to ``dim``, the identity, and
+    one that ``extend_basis`` grew column by column."""
+    rng = np.random.default_rng(dim)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    bases = {f"qr-{width}": q[:, :width] for width in range(dim + 1)}
+    bases["eye"] = np.eye(dim)
+    grown = empty_basis(dim)
+    for _ in range(dim - 1):
+        grown, _ = extend_basis(grown, rng.standard_normal(dim), 0.01)
+    bases["extended"] = grown
+    return bases
+
+
+class TestExplorationInOneOracleCall:
+    """``task_specific_exploration`` sends all its columns to the oracle at once
+    and keeps every bit of the per-column loop it replaced."""
+
+    CASES = [
+        (dim, name, count)
+        for dim in (3, 10)
+        for name in exploration_bases(dim)
+        for count in (1, 17, 2**40)
+    ]
+
+    @pytest.mark.parametrize("dim,name,count", CASES)
+    def test_matches_the_per_column_loop(self, dim, name, count):
+        basis = exploration_bases(dim)[name]
+        inst = make_instance(noise_std=0.7, seed=dim, dim=dim, rep_dim=2, num_tasks=6)
+        task = 4
+        rng, twin = np.random.default_rng(count), np.random.default_rng(count)
+        stride = 2 * count // 3 + 1  # points inside blocks, and a few per block at most
+        ledger, twin_ledger = RegretLedger(inst.num_tasks, stride), RegretLedger(inst.num_tasks, stride)
+        theta_tilde, w_tilde = task_specific_exploration(inst, task, basis, count, rng, ledger)
+        means, twin_theta, twin_w, _ = per_column_exploration(
+            inst, task, basis, count, twin, twin_ledger
+        )
+        assert theta_tilde.tobytes() == twin_theta.tobytes()
+        assert w_tilde.tobytes() == twin_w.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert ledger.total.hex() == twin_ledger.total.hex()
+        assert ledger.num_pulls == twin_ledger.num_pulls == basis.shape[1] * count
+        for got, want in zip(ledger.trace(), twin_ledger.trace()):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.7])  # at 0 the rewards are the means
+    @pytest.mark.parametrize("dim,name", sorted({(dim, name) for dim, name, _ in CASES}))
+    def test_oracle_rows_match_the_per_column_loop(self, dim, name, noise_std):
+        basis = exploration_bases(dim)[name]
+        inst = make_instance(noise_std=noise_std, seed=dim, dim=dim, rep_dim=2, num_tasks=6)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        rewards, regrets = pull_block_mean(inst, 2, basis.T, 9, rng, rows=True)
+        means, _, twin_rewards, twin_regrets = per_column_exploration(
+            inst, 2, basis, 9, twin, RegretLedger(inst.num_tasks, 0)
+        )
+        assert rewards.tobytes() == twin_rewards.tobytes()
+        assert regrets.tobytes() == twin_regrets.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        if noise_std == 0.0:
+            assert rewards.tobytes() == means.tobytes()
+
+    @pytest.mark.parametrize("case", ["norm 1.5", "task num_tasks"])
+    def test_bad_input_raises_before_any_pull(self, case):
+        inst = make_instance(seed=9, dim=6, rep_dim=2, num_tasks=5)
+        basis, task = np.eye(6)[:, :4], 1
+        if case == "norm 1.5":
+            basis = basis * np.array([1.0, 1.0, 1.5, 1.0])  # the third column is outside the ball
+        else:
+            task = inst.num_tasks
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        ledger = RegretLedger(inst.num_tasks, 1)
+        error = InfeasibleActionError if case == "norm 1.5" else ValueError
+        with pytest.raises(error):
+            task_specific_exploration(inst, task, basis, 11, rng, ledger)
+        assert ledger.num_pulls == 0
+        assert ledger.total == 0.0
+        assert rng.bit_generator.state == state
 
 
 class TestReestimate:
