@@ -8,6 +8,7 @@ from .env import (
     instant_regret,
     instant_regret_many,
     pull_block_mean,
+    pull_block_mean_many,
     pull_many,
 )
 from .errors import (
@@ -66,6 +67,7 @@ __all__ = [
     "instant_regret_many",
     "needs_reestimation",
     "pull_block_mean",
+    "pull_block_mean_many",
     "pull_many",
     "resolve_budgets",
     "run_e2tc",

@@ -19,7 +19,7 @@ Everything between (the learners' loops, ``pull_block_mean``'s regret, the
 ``linalg`` kernels) reuses those checked values instead of checking them again.
 So a batch's rewards and regrets come from one checked evaluation of its
 means: ``pull_many`` writes the regrets into the row its caller passes, and
-``pull_block_mean(..., rows=True)`` checks all of a task's blocks at once.
+``pull_block_mean_many`` checks all of a task's blocks at once.
 """
 
 from __future__ import annotations
@@ -220,9 +220,7 @@ def pull_block_mean(
     action: np.ndarray,
     count: int,
     rng: np.random.Generator,
-    *,
-    rows: bool = False,
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, float]:
     """``(mean_reward, regret)`` of ``count`` consecutive pulls of one fixed action.
 
     The sample mean of ``count`` i.i.d. Gaussian rewards is itself Gaussian
@@ -231,30 +229,35 @@ def pull_block_mean(
     to averaging ``count`` individual pulls and keeps large exploration
     blocks cheap.  ``regret`` is the per-pull ``instant_regret`` of the
     action, bit for bit, taken from the same evaluation of the mean.
+    """
+    rewards, regrets = pull_block_mean_many(instance, task, _one_action(action)[None], count, rng)
+    return float(rewards[0]), float(regrets[0])
 
-    With ``rows=True``, ``action`` is a ``(w, dim)`` matrix whose rows are
-    ``w`` blocks: all rows are checked before the first draw, and the
-    ``(w,)`` arrays of mean rewards and regrets have the bits of ``w``
-    one-action calls in row order.  ``standard_normal(w)`` is the stream of
-    ``w`` scalar draws, and each mean is one ``(1, dim) @ (dim, 1)`` product
-    of a stack, which numpy's ``matmul`` evaluates with the dot kernel of a
-    one-action call; one ``(w, dim) @ (dim,)`` product would round
-    differently.  Without ``rows``, any shape but ``(dim,)`` raises.
+
+def pull_block_mean_many(
+    instance: BanditInstance,
+    task: int,
+    actions: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``pull_block_mean`` of each row of ``actions``, one block per row, in row order.
+
+    All rows are checked before the first draw.  The ``(w,)`` arrays of mean
+    rewards and regrets have the bits of ``w`` one-action calls:
+    ``standard_normal(w)`` is the stream of ``w`` scalar draws, and each mean
+    is one ``(1, dim) @ (dim, 1)`` product of a stack, which numpy's
+    ``matmul`` evaluates with the dot kernel of a 1-D ``row @ theta``; one
+    ``(w, dim) @ (dim,)`` product would round differently.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if rows:
-        actions = np.ascontiguousarray(_checked_actions(instance, task, np.atleast_2d(action)))
-    else:
-        actions = _checked_actions(instance, task, _one_action(action))[None]
+    actions = np.ascontiguousarray(_checked_actions(instance, task, np.atleast_2d(actions)))
     means = (actions[:, None, :] @ instance.thetas[:, task, None]).ravel()
     rewards = rng.standard_normal(means.size)
     rewards *= instance.noise_std / math.sqrt(count)
     rewards += means
-    regrets = _regrets(means)
-    if rows:
-        return rewards, regrets
-    return float(rewards[0]), float(regrets[0])
+    return rewards, _regrets(means)
 
 
 def _regret(mean: float) -> float:

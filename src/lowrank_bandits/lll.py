@@ -35,12 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import (
-    BanditInstance,
-    RegretLedger,
-    instant_regret,
-    pull_block_mean,
-)
+from .env import BanditInstance, RegretLedger, instant_regret
+# The rows oracle, bound under the name perfbench's tracer wraps as lll's
+# oracle span (``lll.pull_block_mean``).
+from .env import pull_block_mean_many as pull_block_mean
 from .errors import MAX_COUNT, ConfigError, HorizonTooShortError
 from .linalg import (
     argmax_unit_ball,
@@ -151,15 +149,16 @@ def task_specific_exploration(
     in column order.  With an empty basis the reconstruction is the zero
     vector and nothing is pulled.
 
-    All columns go to the oracle in one ``pull_block_mean`` call, as rows,
-    so they are checked once, before the first draw; each block keeps the
-    bits of a one-column call.  ``basis`` must have orthonormal columns; it
-    is not checked here.  ``run_lll`` passes the identity, or a basis that
-    ``extend_basis`` built from a checked one.
+    All columns go to the oracle in one ``env.pull_block_mean_many`` call,
+    as rows, so they are checked once, before the first draw; each block
+    keeps the bits of a one-column ``env.pull_block_mean`` call.  ``basis``
+    must have orthonormal columns; it is not checked here.  ``run_lll``
+    passes the identity, or a basis that ``extend_basis`` built from a
+    checked one.
     """
     w_tilde = np.zeros(basis.shape[1])
     if w_tilde.size:
-        w_tilde, regrets = pull_block_mean(instance, task, basis.T, n1_per_column, rng, rows=True)
+        w_tilde, regrets = pull_block_mean(instance, task, basis.T, n1_per_column, rng)
         for regret in regrets.tolist():
             ledger.record_block(regret, n1_per_column)
     return basis @ w_tilde, w_tilde

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lowrank_bandits.env import InstanceSpec, RegretLedger, generate_instance, pull_block_mean
+from lowrank_bandits.env import (
+    InstanceSpec,
+    RegretLedger,
+    generate_instance,
+    pull_block_mean,
+    pull_block_mean_many,
+)
 from lowrank_bandits.errors import ConfigError, HorizonTooShortError, InfeasibleActionError
 from lowrank_bandits.linalg import empty_basis, is_orthonormal
 from lowrank_bandits.lll import (
@@ -173,7 +179,7 @@ class TestExplorationInOneOracleCall:
         basis = exploration_bases(dim)[name]
         inst = make_instance(noise_std=noise_std, seed=dim, dim=dim, rep_dim=2, num_tasks=6)
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        rewards, regrets = pull_block_mean(inst, 2, basis.T, 9, rng, rows=True)
+        rewards, regrets = pull_block_mean_many(inst, 2, basis.T, 9, rng)
         means, _, twin_rewards, twin_regrets = per_column_exploration(
             inst, 2, basis, 9, twin, RegretLedger(inst.num_tasks, 0)
         )
@@ -182,6 +188,16 @@ class TestExplorationInOneOracleCall:
         assert rng.bit_generator.state == twin.bit_generator.state
         if noise_std == 0.0:
             assert rewards.tobytes() == means.tobytes()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_raises_before_a_draw(self, count):
+        inst = make_instance(seed=9, dim=6, rep_dim=2, num_tasks=5)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for oracle, actions in [(pull_block_mean, np.eye(6)[0]), (pull_block_mean_many, np.eye(6)[:3])]:
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                oracle(inst, 1, actions, count, rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("case", ["norm 1.5", "task num_tasks"])
     def test_bad_input_raises_before_any_pull(self, case):
