@@ -41,9 +41,14 @@ reconstructs the exact binary64 values.  Files are written atomically
 regardless of worker count.  Each ``run_experiment`` or ``compare`` call
 runs its replicates and writes its files on one pool, of at most the
 worker count and sized by the larger of the two phases; ``compare``'s
-``run_experiment`` calls share its pool.  When one file cannot be written,
+``run_experiment`` calls share its pool.  The pool forks its workers
+when it opens.  A replicate or write job crosses a worker's pipe as a
+pickled ``(fn, args)``, its result or error comes back the same way, and
+the results are kept in job order.  When one file cannot be written,
 or its text does not fit in memory, the others still are, and the first
-error in file order is raised.
+error in file order is raised.  A worker that dies (the OOM killer's
+SIGKILL, say) ends the call with ``ChildProcessError``, naming its signal
+or exit status, once the other workers are reaped.
 
 A file's text is built as one string and then written.  A JSON builder
 holds its number lists' texts and the joined text, at most about twice the
@@ -55,12 +60,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing as mp
 import os
+import pickle
 import re
+import select
+import signal
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -256,6 +262,164 @@ def _run_single(config: ExperimentConfig, index: int) -> RunRecord:
     )
 
 
+def _send(fd: int, payload: bytes) -> None:
+    """Write one message to a pipe: its 8-byte length, then ``payload``."""
+    for data in (len(payload).to_bytes(8, "little"), payload):
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+def _read_exactly(fd: int, size: int) -> bytearray | None:
+    """Read ``size`` bytes from a pipe, or None if it ends first."""
+    buffer = bytearray(size)
+    view, done = memoryview(buffer), 0
+    while done < size:
+        read = os.readv(fd, [view[done:]])
+        if read == 0:
+            return None
+        done += read
+    return buffer
+
+
+def _receive(fd: int) -> bytearray | None:
+    """Read one ``_send`` message from a pipe, or None at end of file."""
+    header = _read_exactly(fd, 8)
+    return None if header is None else _read_exactly(fd, int.from_bytes(header, "little"))
+
+
+def _serve(task_fd: int, result_fd: int) -> None:
+    """A pool worker's loop: run each item it reads and send back its outcome,
+    until the task pipe is closed.  An item's result is freed once sent, so
+    it does not sit beside the next item's run."""
+    while (message := _receive(task_fd)) is not None:
+        _send(result_fd, _run_item(message))
+
+
+def _run_item(message: bytearray) -> bytes:
+    """Run one pickled ``(fn, args)``; return the pickled ``(True, fn(*args))``,
+    or ``(False, error)`` for an ``Exception``.  Empties ``message`` before
+    the run, which then holds the arguments only once."""
+    try:
+        fn, args = pickle.loads(message)
+        message.clear()
+        outcome = (True, fn(*args))
+    except Exception as error:
+        outcome = (False, error)
+    try:
+        return pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+    except Exception as error:  # a result or error that does not pickle
+        return pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+
+
+class _ForkPool:
+    """``workers`` processes forked when the pool opens, each with a task pipe
+    and a result pipe; no thread, no manager process.
+
+    ``map`` hands the next item to whichever worker is free and returns the
+    results in item order.  Every item runs; then the first item that raised
+    is raised.  A worker that dies mid-map stops the hand-out; once the items
+    in flight are back, ``map`` raises ``ChildProcessError`` with its exit
+    status or signal.  ``close`` closes the pipes, interrupts (SIGINT) the
+    workers of a map that did not finish, and reaps every worker.
+    """
+
+    def __init__(self, workers: int):
+        self._pids: dict[int, int] = {}  # result fd -> worker pid
+        self._tasks: dict[int, int] = {}  # result fd -> task fd
+        self._busy: dict[int, int] = {}  # result fd -> index of the item in flight
+        self._poller = select.poll()
+        try:
+            for _ in range(workers):
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self) -> None:
+        task_read, task_write = os.pipe()
+        result_read, result_write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (task_read, task_write, result_read, result_write):
+                os.close(fd)
+            raise
+        if pid == 0:  # the worker: it never returns to the caller's code
+            code = 1
+            try:
+                for fd in (task_write, result_read, *self._pids, *self._tasks.values()):
+                    os.close(fd)  # so each pipe closes when its own ends do
+                signal.signal(signal.SIGINT, signal.default_int_handler)
+                _serve(task_read, result_write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_read)
+        os.close(result_write)
+        self._pids[result_read] = pid
+        self._tasks[result_read] = task_write
+        self._poller.register(result_read, select.POLLIN)
+
+    def map(self, fn, *iterables) -> list:
+        items = enumerate(zip(*iterables))
+        outcomes: list = []
+        lost = None  # how the first worker found dead went
+
+        def hand_out(fd: int) -> None:  # the next item, if any, to the worker behind fd
+            item = next(items, None)
+            if item is None:
+                return
+            index, args = item
+            outcomes.append(None)
+            self._busy[fd] = index
+            try:
+                _send(self._tasks[fd], pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL))
+            except BrokenPipeError:
+                pass  # the worker is gone; its result pipe reads end of file
+
+        for fd in list(self._pids):
+            hand_out(fd)
+        while self._busy:
+            for fd, _ in self._poller.poll():
+                index = self._busy.pop(fd, None)
+                message = _receive(fd)
+                if message is None:
+                    ended = self._reap_lost(fd)
+                    lost = lost or ended
+                    continue
+                outcomes[index] = pickle.loads(message)
+                if lost is None:
+                    hand_out(fd)
+        if lost is not None:
+            raise ChildProcessError(lost)
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
+
+    def _reap_lost(self, fd: int) -> str:
+        """Reap the dead worker behind result pipe ``fd``; say how it ended."""
+        pid = self._pids.pop(fd)
+        self._poller.unregister(fd)
+        os.close(fd)
+        os.close(self._tasks.pop(fd))
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code < 0:
+            return f"pool worker {pid} was killed by signal {-code} ({signal.strsignal(-code)})"
+        return f"pool worker {pid} exited with status {code}"
+
+    def close(self) -> None:
+        for task_fd in self._tasks.values():
+            os.close(task_fd)  # a free worker reads end of file and exits
+        for fd in self._busy:  # a map that did not finish: stop its items in flight
+            os.kill(self._pids[fd], signal.SIGINT)
+        for fd, pid in self._pids.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
+        self._pids, self._tasks, self._busy = {}, {}, {}
+
+
 # The map of the pool that the outermost ``_pool`` call holds open, or None.
 # Module state, not an argument: ``compare`` reaches ``run_experiment`` through
 # its module binding, which callers may wrap.
@@ -264,24 +428,22 @@ _open_map = None
 
 @contextmanager
 def _pool(workers: int):
-    """Yield a ``map`` that runs on ``workers`` fork-started processes, or
-    in process for one worker.  Inside another ``_pool`` call's ``with``, yield
-    that call's map: one pool serves a whole call, and is shut down when the
-    outermost ``with`` ends."""
+    """Yield a ``map`` that runs on a ``_ForkPool`` of ``workers`` processes,
+    or in process for one worker.  Inside another ``_pool`` call's ``with``,
+    yield that call's map: one pool serves a whole call, and is closed when
+    the outermost ``with`` ends."""
     global _open_map
     if _open_map is not None:
         yield _open_map
         return
-    executor = None
-    if workers > 1:
-        executor = ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork"))
-    _open_map = map if executor is None else executor.map
+    pool = _ForkPool(workers) if workers > 1 else None
+    _open_map = map if pool is None else pool.map
     try:
         yield _open_map
     finally:
         _open_map = None
-        if executor is not None:
-            executor.shutdown()
+        if pool is not None:
+            pool.close()
 
 
 def _worker_count(limit: int) -> int:

@@ -1,13 +1,14 @@
 import csv
 import io
 import json
-import multiprocessing
 import os
 import pickle
 import resource
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -68,16 +69,22 @@ class FakeLedger:
 
 
 def count_pools(monkeypatch) -> list:
-    """The ``max_workers`` of every process pool the harness creates from now on."""
+    """The worker count of every process pool the harness creates from now on."""
     created = []
 
-    class CountedPool(harness.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    class CountedPool(harness._ForkPool):
+        def __init__(self, workers):
+            created.append(workers)
+            super().__init__(workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(harness, "_ForkPool", CountedPool)
     return created
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSeedDerivation:
@@ -240,7 +247,7 @@ class TestRunExperiment:
         _, written = run_experiment(small_config(num_seeds=1, out_dir=str(tmp_path / "run")))
         assert [p.name for p in written] == ["curves.csv", "summary.json"]
         assert created == [max(1, 2)]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_one_pool_runs_the_replicates_and_writes_the_files(self, tmp_path, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
@@ -248,7 +255,7 @@ class TestRunExperiment:
         _, written = run_experiment(small_config(out_dir=str(tmp_path / "run")))
         assert [p.name for p in written] == ["curves.csv", "summary.json"]
         assert created == [2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_per_task_job_sends_small_args(self, tmp_path):
         # At stride 1 the expanded traces of these records take ~3 MB.
@@ -599,7 +606,7 @@ class TestCompare:
         )
         assert len(written) == 4
         assert created == [2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_writes_comparison_files(self, tmp_path):
         out = tmp_path / "cmp"
@@ -612,6 +619,98 @@ class TestCompare:
         assert (out / "comparison.json").exists()
         loaded = json.loads((out / "comparison.json").read_text())
         assert loaded["n_seeds"] == SMALL["num_seeds"]
+
+
+def finished_at(delay: float, value):
+    """Sleep ``delay`` seconds; return ``value`` and when it finished."""
+    time.sleep(delay)
+    return value, time.monotonic()
+
+
+def touched_or_raised(path: str, error: Exception | None):
+    """Create ``path``, then raise ``error`` if there is one."""
+    Path(path).touch()
+    if error is not None:
+        raise error
+    return path
+
+
+def doubled(array: np.ndarray) -> np.ndarray:
+    return 2 * array
+
+
+def killed_or_touched(path: str | None):
+    """SIGKILL this process, or sleep a little and create ``path``."""
+    if path is None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.2)
+    Path(path).touch()
+
+
+class TestForkPool:
+    def test_results_come_back_in_item_order(self):
+        # three workers take the three items at once; the last finishes first
+        with harness._pool(3) as run_all:
+            results = run_all(finished_at, [0.4, 0.2, 0.0], ["a", "b", "c"])
+        assert [value for value, _ in results] == ["a", "b", "c"]
+        finished = [at for _, at in results]
+        assert finished[2] < finished[1] < finished[0]
+        assert_no_child_left()
+
+    def test_a_raising_item_raises_after_every_item_ran(self, tmp_path):
+        paths = [str(tmp_path / f"item{i}") for i in range(6)]
+        errors = [None, ConfigError("x: second"), None, ConfigError("x: fourth"), None, None]
+        with pytest.raises(ConfigError) as raised:
+            with harness._pool(2) as run_all:
+                run_all(touched_or_raised, paths, errors)
+        # its own type and message: the first failure in item order
+        assert type(raised.value) is ConfigError and str(raised.value) == "x: second"
+        assert all(Path(path).exists() for path in paths)
+        assert_no_child_left()
+
+    def test_items_and_results_larger_than_a_pipe_buffer(self):
+        arrays = [np.arange(2**17, dtype=float), np.ones(3)]  # 1 MiB and 24 B
+        with harness._pool(2) as run_all:
+            results = run_all(doubled, arrays)
+        assert all(np.array_equal(got, 2 * sent) for got, sent in zip(results, arrays))
+        assert_no_child_left()
+
+    def test_a_killed_worker_raises_once_the_others_are_reaped(self, tmp_path):
+        path = tmp_path / "other"
+        with pytest.raises(ChildProcessError, match=r"killed by signal 9 \("):
+            with harness._pool(2) as run_all:
+                run_all(killed_or_touched, [None, str(path)])
+        assert path.exists()  # the other worker's item in flight came back first
+        assert_no_child_left()
+
+    def test_keyboard_interrupt_in_the_parent_stops_the_workers(self):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)  # forked workers inherit no timer
+            with pytest.raises(KeyboardInterrupt):
+                with harness._pool(2) as run_all:
+                    run_all(time.sleep, [60, 60, 60])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    def test_importing_the_package_loads_no_multiprocessing(self):
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import sys, lowrank_bandits; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestCli:
@@ -714,7 +813,34 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "HorizonTooShortError"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_killed_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A worker killed mid-run, as the OOM killer kills: the run stops, with
+        # one JSON line naming the signal, once the other worker is reaped.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(harness, "run_mtrl", killed)
+        out = tmp_path / "D"
+        code = self.run_cli(
+            "mtrl", "--d", "6", "--k", "2", "--M", "5", "--T", "400", "--seeds", "2",
+            "--out-dir", str(out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ChildProcessError"
+        assert "killed by signal 9" in err["message"]
+        assert not out.exists()
+        assert_no_child_left()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
